@@ -4,7 +4,7 @@
 :class:`~repro.serve.server.InferenceServer` and replaces the single
 pool behind ``_forward`` with a :class:`~repro.cluster.router
 .ClusterRouter` over N :class:`~repro.cluster.node.PoolNode` process
-groups.  Everything above the forward boundary -- request coalescing,
+groups.  Everything above the forward boundary -- request batching,
 deadlines, futures, admission control, the HTTP gateway -- is inherited
 unchanged, so ``python -m repro serve --nodes 4`` is the one-machine
 stack scaled out with zero gateway changes:
@@ -49,9 +49,12 @@ class ClusterServer(InferenceServer):
     Args:
         network / compiled / chip_n / sc_per_npe / reorder / batch_max /
             deadline_ms / plan_cache / queue_max / breaker: As for
-            :class:`InferenceServer`.  The inherited breaker guards
-            nothing here (each node carries its own); it stays closed
-            so admission control keeps working unmodified.
+            :class:`InferenceServer` (``deadline_ms`` is validated but
+            no longer delays dispatch: the router call is synchronous,
+            so batches form from what queues while it runs).  The
+            inherited breaker guards nothing here (each node carries
+            its own); it stays closed so admission control keeps
+            working unmodified.
         nodes: Initial cluster size (spawned on :meth:`start`).
         node_workers: Pool worker processes **per node**; ``0``/``1``
             makes serial nodes (cheap, still exercises routing).
@@ -113,6 +116,10 @@ class ClusterServer(InferenceServer):
             )
         self._supervisor: Optional[threading.Thread] = None
         self._supervisor_stop = threading.Event()
+        # Sweeps that raised and were survived, and the last such
+        # exception's type name -- reported by health().
+        self.supervisor_errors = 0
+        self.supervisor_last_error: Optional[str] = None
 
     # -- topology ------------------------------------------------------------
 
@@ -166,8 +173,11 @@ class ClusterServer(InferenceServer):
                 self.router.probe_all()
                 if self.autoscaler is not None:
                     self.autoscaler.tick()
-            except Exception:  # pragma: no cover - defensive
-                continue
+            except Exception as exc:
+                # One bad sweep must not kill supervision; count it so
+                # the failure is visible in health().
+                self.supervisor_errors += 1
+                self.supervisor_last_error = type(exc).__name__
 
     # -- forward boundary ----------------------------------------------------
 
@@ -186,6 +196,10 @@ class ClusterServer(InferenceServer):
         health = super().health()
         health["mode"] = f"cluster[{self.router.alive_count()}]"
         health["cluster"] = self.router.stats()
+        health["supervisor"] = {
+            "errors": self.supervisor_errors,
+            "last_error": self.supervisor_last_error,
+        }
         if self.autoscaler is not None:
             health["autoscaler"] = self.autoscaler.stats()
         return health

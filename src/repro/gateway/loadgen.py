@@ -420,8 +420,8 @@ def _scenario_deadline_storm(compiled, quick: bool, seed: int,
     # Hold the dispatcher busy (chaos-injection idiom: wrap _forward
     # with a sleep, exactly as tests/serve does) while doomed requests
     # with 1 ms deadlines pile up behind the blocker; every one of them
-    # expires at dispatch -> 504.  deadline_ms=0 disables coalescing so
-    # the doomed requests cannot ride the blocker's batch.
+    # expires at dispatch -> 504.  The blocker is dispatched alone
+    # before the doomed requests arrive, so none can ride its batch.
     doomed = 12 if quick else 40
     hold_s = 1.2
     rng = np.random.default_rng(seed + 4)

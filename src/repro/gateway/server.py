@@ -705,7 +705,9 @@ def main(argv=None) -> int:
                         help="autoscaler ceiling (default 8)")
     parser.add_argument("--batch-max", type=int, default=64)
     parser.add_argument("--deadline-ms", type=float, default=2.0,
-                        help="micro-batch coalescing window")
+                        help="accepted for compatibility; batches "
+                             "dispatch as soon as the backend is free "
+                             "and this no longer delays them")
     parser.add_argument("--queue-limit", type=int, default=1024,
                         help="admission-control queue-depth bound")
     parser.add_argument("--tenants", default=None,

@@ -2,9 +2,10 @@
 
 The first serving-layer brick of the production north star
 (ROADMAP.md): an in-process :class:`InferenceServer` that accepts
-single-sample requests, coalesces them into hardware-sized batches
-(up to ``batch_max`` samples or ``deadline_ms`` of queueing, whichever
-comes first), executes them through a compile-once
+single-sample requests, batches them busy-driven (whatever queued
+while the backend was busy leaves together, up to ``batch_max``
+samples; an idle backend runs a lone request at once), executes them
+through a compile-once
 :class:`~repro.ssnn.compile.CompiledNetwork` -- optionally sharded
 across a persistent shared-memory
 :class:`~repro.ssnn.pool.InferencePool` -- and reports per-request

@@ -1,17 +1,18 @@
 """The adaptive micro-batching inference server.
 
-One dispatcher thread drains a request queue: the first request of a
-batch opens a coalescing window; further requests join until the batch
-holds ``batch_max`` samples or ``deadline_ms`` has elapsed since the
-window opened, then the whole batch runs as a single row block through
-the compiled plan (serially or on the persistent shared-memory pool).
-Every request therefore trades at most ``deadline_ms`` of queueing
-latency for hardware-sized batches -- the same latency/throughput knob
-real serving stacks expose.
+One dispatcher thread drains a request queue with busy-driven
+batching: it takes the first queued request, adds whatever else is
+already queued (up to ``batch_max`` samples) without waiting, and runs
+the batch at once as a single row block through the compiled plan
+(serially or on the persistent shared-memory pool).  No timer ever holds
+a request while the backend is idle.  The backend call is synchronous,
+so requests that arrive while a batch runs queue up and leave together
+in the next batch: light load gets singleton latency, heavy load gets
+hardware-sized batches.
 
 Requests whose spike trains disagree in shape are never mixed into one
-batch; a shape change simply closes the current window (the mismatched
-request opens the next one).
+batch; a shape change simply closes the current batch (the mismatched
+request leads the next one).
 
 Failure semantics (see ``docs/SERVING.md``): the pool resurrects its
 own workers, so transient chaos heals *inside* a call; a pool call that
@@ -62,9 +63,8 @@ class ServeResult:
         rates: (classes,) mean output spike rates.
         prediction: argmax class label.
         output_raster: (T, classes) per-step output spikes.
-        latency_ms: Submit-to-answer wall-clock latency (queueing and
-            coalescing included).
-        batch_size: Samples in the coalesced batch this request rode in.
+        latency_ms: Submit-to-answer wall-clock latency, queueing included.
+        batch_size: Samples in the batch this request rode in.
         steps: Time steps of the request's spike train.
     """
 
@@ -93,9 +93,9 @@ class InferenceServer:
             pass an already-compiled artifact via ``compiled=``.
         chip_n / sc_per_npe / reorder: Chip configuration (ignored when
             ``compiled`` is given).
-        batch_max: Coalescing ceiling in samples.
-        deadline_ms: Coalescing window: maximum time a request waits for
-            companions before its batch is dispatched.
+        batch_max: Batch ceiling in samples.
+        deadline_ms: Validated (``>= 0``) but no longer delays dispatch:
+            a batch leaves as soon as the backend is free.
         workers: ``> 1`` shards batches across a persistent supervised
             :class:`~repro.ssnn.pool.InferencePool`; ``0``/``1`` run
             in the dispatcher thread.  Pool failures fall back to serial
@@ -356,7 +356,7 @@ class InferenceServer:
             raise
 
     def queue_depth(self) -> int:
-        """Requests waiting in the coalescing queue right now.  Cheap
+        """Requests waiting in the batching queue right now.  Cheap
         (no lock, no percentile sort) -- the per-request admission
         probe for gateways, unlike the full :meth:`stats` snapshot."""
         return self._queue.qsize() + (1 if self._holdback is not None else 0)
@@ -401,10 +401,10 @@ class InferenceServer:
         if request.deadline is not None \
                 and time.monotonic() >= request.deadline:
             if request.future.set_running_or_notify_cancel():
+                self._metrics.record_expired()
                 request.future.set_exception(DeadlineExceededError(
                     "request deadline_ms lapsed while queued"
                 ))
-                self._metrics.record_expired()
             else:
                 self._metrics.record_cancelled()
             return False
@@ -433,18 +433,13 @@ class InferenceServer:
             if not self._admit(first):
                 continue
             batch = [first]
-            deadline = time.monotonic() + self.deadline_ms / 1000.0
             while len(batch) < self.batch_max:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
                 try:
-                    nxt = self._queue.get(timeout=remaining)
+                    nxt = self._queue.get_nowait()
                 except queue.Empty:
                     break
                 if nxt.train.shape != first.train.shape:
-                    # Never mix shapes: the straggler opens the next
-                    # coalescing window.
+                    # Never mix shapes: the straggler leads the next batch.
                     self._holdback = nxt
                     break
                 if self._admit(nxt):
@@ -462,10 +457,11 @@ class InferenceServer:
             rates = (raster.mean(axis=0) if steps
                      else raster.sum(axis=0))  # (batch, out)
             now = time.monotonic()
-            latencies = []
-            for i, request in enumerate(batch):
-                latency_ms = (now - request.enqueued) * 1000.0
-                latencies.append(latency_ms)
+            latencies = [(now - r.enqueued) * 1000.0 for r in batch]
+            # Count the batch before resolving it: a caller holding its
+            # answer must already see it in stats().
+            self._metrics.record_batch(len(batch), synops, latencies)
+            for i, (request, latency_ms) in enumerate(zip(batch, latencies)):
                 request.future.set_result(ServeResult(
                     rates=rates[i],
                     prediction=int(rates[i].argmax()),
@@ -474,12 +470,11 @@ class InferenceServer:
                     batch_size=len(batch),
                     steps=steps,
                 ))
-            self._metrics.record_batch(len(batch), synops, latencies)
         except Exception as exc:  # pragma: no cover - defensive
+            self._metrics.record_failure(len(batch))
             for request in batch:
                 if not request.future.done():
                     request.future.set_exception(exc)
-            self._metrics.record_failure(len(batch))
 
     def _forward(self, rows: np.ndarray):
         pool = self._pool

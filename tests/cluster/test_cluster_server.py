@@ -138,6 +138,38 @@ class TestServing:
             result = server.infer(trains[:, 0, :], timeout=30.0)
             assert result.steps == trains.shape[0]
 
+    def test_supervisor_counts_a_failed_sweep_and_keeps_running(
+            self, workload):
+        """A sweep that raises is counted and named in health(); the
+        supervisor thread survives and later sweeps still run."""
+        import threading
+
+        _, compiled, _ = workload
+        with ClusterServer(
+            compiled=compiled, nodes=1, node_workers=0,
+            deadline_ms=0.0, supervise_interval_s=0.01,
+        ) as server:
+            assert server.health()["supervisor"] == {
+                "errors": 0, "last_error": None,
+            }
+            original = server.router.probe_all
+            sweeps = []
+            later_sweep = threading.Event()
+
+            def flaky_probe_all():
+                sweeps.append(1)
+                if len(sweeps) == 1:
+                    raise RuntimeError("injected probe failure")
+                later_sweep.set()
+                return original()
+
+            server.router.probe_all = flaky_probe_all
+            assert later_sweep.wait(timeout=10.0)
+            supervisor = server.health()["supervisor"]
+            assert supervisor == {"errors": 1,
+                                  "last_error": "RuntimeError"}
+            assert server._supervisor.is_alive()
+
 
 class TestGatewayIntegration:
     def test_metrics_and_readyz_expose_cluster_gauges(self, workload):

@@ -8,6 +8,7 @@ coalescing behaviour (batch_max, shape isolation), the lifecycle
 """
 
 import queue
+import threading
 import time
 from concurrent.futures import TimeoutError as FutureTimeoutError
 
@@ -137,6 +138,61 @@ class TestCoalescing:
         del want_short
 
 
+class TestBusyDrivenBatching:
+    """Batches form from what queued while the backend was busy; no
+    timer ever holds a request while the backend is idle."""
+
+    def test_idle_backend_answers_at_once(self, workload):
+        network, trains = workload
+        with InferenceServer(
+            network, chip_n=CHIP_N, sc_per_npe=SC, plan_cache=None,
+            deadline_ms=10_000.0,
+        ) as server:
+            start = time.monotonic()
+            res = server.infer(trains[:, 0, :], timeout=30.0)
+            elapsed = time.monotonic() - start
+        assert res.batch_size == 1
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("crowd, sizes", [
+        (1, [1]),
+        (3, [3] * 3),
+        (4, [4] * 4),
+        (6, [4] * 4 + [2] * 2),
+        (9, [4] * 8 + [1]),
+    ])
+    def test_requests_queued_behind_a_busy_backend_leave_together(
+            self, workload, crowd, sizes):
+        network, trains = workload
+        want = expected_results(network, trains)
+        with InferenceServer(
+            network, chip_n=CHIP_N, sc_per_npe=SC, plan_cache=None,
+            batch_max=4, deadline_ms=2.0,
+        ) as server:
+            original = server._forward
+            entered = threading.Event()
+            release = threading.Event()
+
+            def gated_forward(rows):
+                entered.set()
+                assert release.wait(timeout=30.0)
+                return original(rows)
+
+            server._forward = gated_forward
+            blocker = server.submit(trains[:, 0, :])
+            assert entered.wait(timeout=30.0)
+            futures = [server.submit(trains[:, b % 4, :])
+                       for b in range(crowd)]
+            release.set()
+            assert blocker.result(timeout=30.0).batch_size == 1
+            results = [f.result(timeout=30.0) for f in futures]
+        assert [r.batch_size for r in results] == sizes
+        for b, res in enumerate(results):
+            assert np.array_equal(
+                res.output_raster, want.output_raster[:, b % 4, :]
+            )
+
+
 class TestLifecycleAndValidation:
     def test_constructor_validation(self, workload):
         network, _ = workload
@@ -243,6 +299,29 @@ class TestMetrics:
             "fps", "sops", "latency_ms_p50", "mean_batch",
         }
 
+    def test_answer_is_counted_before_it_resolves(self, workload):
+        """A caller holding its answer must already see it in stats():
+        the batch is recorded before any future in it resolves."""
+        network, trains = workload
+        with InferenceServer(
+            network, chip_n=CHIP_N, sc_per_npe=SC, plan_cache=None,
+        ) as server:
+            original = server._forward
+            release = threading.Event()
+
+            def gated_forward(rows):
+                assert release.wait(timeout=30.0)
+                return original(rows)
+
+            server._forward = gated_forward
+            future = server.submit(trains[:, 0, :])
+            completed_at_resolve = []
+            future.add_done_callback(lambda _: completed_at_resolve.append(
+                server.stats().completed))
+            release.set()
+            future.result(timeout=30.0)
+        assert completed_at_resolve == [1]
+
     def test_repr_shows_mode(self, workload):
         network, _ = workload
         server = InferenceServer(
@@ -299,13 +378,18 @@ class TestRobustness:
             deadline_ms=0.0,
         ) as server:
             original = server._forward
+            entered = threading.Event()
 
             def slow_forward(rows):
+                entered.set()
                 time.sleep(0.15)
                 return original(rows)
 
             server._forward = slow_forward
             blocker = server.submit(train)
+            # Submit only once the blocker's batch is running, so the
+            # doomed request cannot ride along with it.
+            assert entered.wait(timeout=30.0)
             doomed = server.submit(train, deadline_ms=1.0)
             assert blocker.result(timeout=30.0).steps == trains.shape[0]
             with pytest.raises(DeadlineExceededError):
@@ -333,13 +417,16 @@ class TestRobustness:
             deadline_ms=0.0,
         ) as server:
             original = server._forward
+            entered = threading.Event()
 
             def slow_forward(rows):
+                entered.set()
                 time.sleep(0.15)
                 return original(rows)
 
             server._forward = slow_forward
             blocker = server.submit(train)
+            assert entered.wait(timeout=30.0)
             with pytest.raises(FutureTimeoutError):
                 server.infer(train, timeout=0.02)
             blocker.result(timeout=30.0)
