@@ -1,13 +1,14 @@
-"""One cluster node: a private supervised pool + breaker + gauges.
+"""One cluster node: lifecycle around a private :class:`PoolBackend`.
 
 A :class:`PoolNode` is the unit the cluster scales and kills: an
 independent :class:`~repro.ssnn.pool.InferencePool` process group (its
 shared-memory segment names embed the pool instance, so namespaces
-never collide across nodes), guarded by the node's *own*
-:class:`~repro.serve.breaker.CircuitBreaker` and observed through its
-own :class:`~repro.serve.metrics.MetricsRecorder` -- the same
-supervision surface :class:`~repro.serve.server.InferenceServer` wraps
-around a single pool, replicated per node.
+never collide across nodes) run through the node's *own*
+:class:`~repro.serve.backend.PoolBackend` -- the same pool -> breaker
+-> serial policy :class:`~repro.serve.server.InferenceServer` uses,
+with the node's own :class:`~repro.serve.breaker.CircuitBreaker` and
+:class:`~repro.serve.metrics.MetricsRecorder`.  The node adds only
+lifecycle: state, in-flight count, drain, kill and partition.
 
 Execution contract: :meth:`PoolNode.infer_rows` is bit-identical to
 serial :meth:`CompiledNetwork.forward_rows` in every reachable state --
@@ -43,10 +44,10 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.serve.backend import PoolBackend
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.metrics import MetricsRecorder, ServerStats
 from repro.ssnn.compile import CompiledNetwork
-from repro.ssnn.pool import InferencePool, PoisonBatchError
 
 ACTIVE = "active"
 DRAINING = "draining"
@@ -79,8 +80,6 @@ class PoolNode:
             node's :class:`~repro.ssnn.pool.InferencePool`.
     """
 
-    _DEGRADE_ERRORS = (ImportError, OSError, PermissionError, RuntimeError)
-
     def __init__(
         self,
         node_id: str,
@@ -104,18 +103,15 @@ class PoolNode:
         self._state = ACTIVE
         self._partitioned = False
         self._inflight = 0
-        self._pool: Optional[InferencePool] = None
-        if workers > 1:
-            try:
-                self._pool = InferencePool(
-                    compiled,
-                    workers=workers,
-                    start_method=start_method,
-                    result_timeout_s=result_timeout_s,
-                    chaos_hook=chaos_hook,
-                )
-            except self._DEGRADE_ERRORS:
-                self._pool = None  # serve serially; the node stays up
+        self._backend = PoolBackend(
+            compiled,
+            workers,
+            breaker=self.breaker,
+            metrics=self.metrics,
+            start_method=start_method,
+            result_timeout_s=result_timeout_s,
+            chaos_hook=chaos_hook,
+        ).open()
 
     # -- state ---------------------------------------------------------------
 
@@ -195,27 +191,7 @@ class PoolNode:
             )
 
     def _forward(self, rows: np.ndarray) -> Tuple[np.ndarray, int, int]:
-        """The breaker-guarded pool path with serial fallback -- the
-        same failure semantics as ``InferenceServer._forward``, scoped
-        to this node."""
-        pool = self._pool
-        if pool is not None and not pool.closed and self.breaker.allow():
-            try:
-                result = pool.infer_rows(rows)
-            except PoisonBatchError:
-                self.breaker.record_success()
-                self.metrics.record_poison()
-            except self._DEGRADE_ERRORS:
-                if self._state == DEAD:
-                    raise NodeUnavailableError(
-                        f"node {self.node_id} died mid-call"
-                    )
-                self.breaker.record_failure()
-                self.metrics.record_pool_failure()
-            else:
-                self.breaker.record_success()
-                return result
-        return self.compiled.forward_rows(rows)
+        return self._backend.forward(rows)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -241,9 +217,7 @@ class PoolNode:
                 return
             if self._state != DEAD:
                 self._state = RETIRED
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.close()
+        self._backend.close()
 
     def kill(self) -> None:
         """Chaos: abrupt whole-node death (host power-off).  Worker
@@ -252,13 +226,13 @@ class PoolNode:
         serves again.  Call :meth:`retire` afterwards to reap the pool
         resources."""
         self._state = DEAD
-        pool = self._pool
+        pool = self._backend.pool
         if pool is not None:
             for proc in list(pool._procs):
                 try:
                     proc.kill()
-                except Exception:
-                    pass
+                except (ValueError, OSError):
+                    pass  # handle already closed, or process already gone
 
     def partition(self) -> None:
         """Chaos: the node becomes unreachable (probes and dispatches
@@ -271,20 +245,18 @@ class PoolNode:
     # -- observability -------------------------------------------------------
 
     def alive_workers(self) -> int:
-        pool = self._pool
-        return pool.alive_workers() if pool is not None else 0
+        return self._backend.gauges()[1]
 
     def restarts(self) -> int:
-        pool = self._pool
-        return pool.restarts if pool is not None else 0
+        return self._backend.gauges()[2]
 
     def stats(self) -> ServerStats:
-        pool = self._pool
+        configured, alive, restarts = self._backend.gauges()
         return self.metrics.snapshot(
             breaker_state=self.breaker.state,
-            workers_configured=(self.workers if pool is not None else 0),
-            workers_alive=self.alive_workers(),
-            worker_restarts=self.restarts(),
+            workers_configured=configured,
+            workers_alive=alive,
+            worker_restarts=restarts,
             queue_depth=self._inflight,
         )
 
@@ -309,7 +281,7 @@ class PoolNode:
         self.retire()
 
     def __repr__(self) -> str:
-        mode = (f"pool[{self.workers}]" if self._pool is not None
+        mode = (f"pool[{self.workers}]" if self._backend.pool is not None
                 else "serial")
         return (f"<PoolNode {self.node_id} {self._state} {mode} "
                 f"breaker={self.breaker.state} "

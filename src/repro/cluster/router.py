@@ -163,6 +163,8 @@ class ClusterRouter:
         for node in roster:
             node.retire()
 
+    close = shutdown  # row-backend interface (see ClusterServer)
+
     # -- accessors -----------------------------------------------------------
 
     def node(self, node_id: str) -> Optional[PoolNode]:
@@ -259,6 +261,18 @@ class ClusterRouter:
         with self._lock:
             self.serial_fallbacks += 1
         return self.compiled.forward_rows(rows)
+
+    def forward(self, rows: np.ndarray) -> Tuple[np.ndarray, int, int]:
+        """Row-backend interface: :meth:`dispatch` under the default
+        affinity key."""
+        return self.dispatch(rows)
+
+    @staticmethod
+    def gauges() -> Tuple[int, int, int]:
+        """Row-backend pool gauges ``(configured, alive, restarts)``:
+        the router holds no pool itself (each node reports its own in
+        :meth:`stats`), so all zero."""
+        return 0, 0, 0
 
     def _note_unavailable(self, node: PoolNode) -> None:
         """A node failed during execution: take it out of rotation --

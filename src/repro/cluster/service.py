@@ -1,13 +1,13 @@
 """Cluster-backed inference server: the gateway-compatible facade.
 
 :class:`ClusterServer` subclasses
-:class:`~repro.serve.server.InferenceServer` and replaces the single
-pool behind ``_forward`` with a :class:`~repro.cluster.router
-.ClusterRouter` over N :class:`~repro.cluster.node.PoolNode` process
-groups.  Everything above the forward boundary -- request batching,
-deadlines, futures, admission control, the HTTP gateway -- is inherited
-unchanged, so ``python -m repro serve --nodes 4`` is the one-machine
-stack scaled out with zero gateway changes:
+:class:`~repro.serve.server.InferenceServer` and installs a
+:class:`~repro.cluster.router.ClusterRouter` over N
+:class:`~repro.cluster.node.PoolNode` process groups as its row
+backend in place of the single pool.  Everything above the backend --
+request batching, deadlines, futures, admission control, the HTTP
+gateway -- is inherited unchanged, so ``python -m repro serve --nodes
+4`` is the one-machine stack scaled out with zero gateway changes:
 
 * :meth:`readiness` additionally requires at least one routable node
   (the gateway's ``/readyz`` flips 503 when the whole cluster is gone,
@@ -32,8 +32,6 @@ from __future__ import annotations
 
 import threading
 from typing import Dict, List, Optional
-
-import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.cluster.autoscaler import Autoscaler, AutoscalerConfig
@@ -108,6 +106,7 @@ class ClusterServer(InferenceServer):
         self.node_workers = node_workers
         self.supervise_interval_s = supervise_interval_s
         self.router = ClusterRouter(self.compiled, replicas=replicas)
+        self._backend = self.router
         self._node_seq = 0
         self.autoscaler: Optional[Autoscaler] = None
         if autoscaler_config is not None:
@@ -146,8 +145,6 @@ class ClusterServer(InferenceServer):
     def start(self) -> "ClusterServer":
         if self._running:
             return self
-        while self.router.alive_count() < self.initial_nodes:
-            self.add_node()
         super().start()
         if self.supervise_interval_s > 0:
             self._supervisor_stop.clear()
@@ -164,8 +161,12 @@ class ClusterServer(InferenceServer):
         supervisor, self._supervisor = self._supervisor, None
         if supervisor is not None:
             supervisor.join(timeout=timeout)
-        super().stop(drain=drain, timeout=timeout)
-        self.router.shutdown()
+        super().stop(drain=drain, timeout=timeout)  # retires every node
+
+    def _open_backend(self) -> None:
+        """Spawn and join nodes up to the initial cluster size."""
+        while self.router.alive_count() < self.initial_nodes:
+            self.add_node()
 
     def _supervise_loop(self) -> None:
         while not self._supervisor_stop.wait(self.supervise_interval_s):
@@ -178,11 +179,6 @@ class ClusterServer(InferenceServer):
                 # the failure is visible in health().
                 self.supervisor_errors += 1
                 self.supervisor_last_error = type(exc).__name__
-
-    # -- forward boundary ----------------------------------------------------
-
-    def _forward(self, rows: np.ndarray):
-        return self.router.dispatch(rows)
 
     # -- observability -------------------------------------------------------
 

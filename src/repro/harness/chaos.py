@@ -410,10 +410,10 @@ def _scenario_breaker_cycle(quick: bool, marker_dir: str) -> Dict:
     )
     server.start()
     try:
-        _check(server._pool is not None,
+        _check(server._backend.pool is not None,
                "breaker-cycle: server failed to spawn its pool")
-        flaky = _FlakyPool(server._pool, failures=2)
-        server._pool = flaky
+        flaky = _FlakyPool(server._backend.pool, failures=2)
+        server._backend.pool = flaky
         states: List[str] = [breaker.state]
         predictions: List[int] = []
         for _ in range(3):  # 2 failures trip the breaker open

@@ -14,18 +14,16 @@ Requests whose spike trains disagree in shape are never mixed into one
 batch; a shape change simply closes the current batch (the mismatched
 request leads the next one).
 
-Failure semantics (see ``docs/SERVING.md``): the pool resurrects its
-own workers, so transient chaos heals *inside* a call; a pool call that
-still fails counts against a :class:`~repro.serve.breaker.CircuitBreaker`
-and the batch re-runs serially (identical answers).  The breaker opens
-after ``K`` consecutive pool failures, skips the pool while open, and
-probes it half-open after a cool-down -- the server never permanently
-discards a pool that might heal.  A
-:class:`~repro.ssnn.pool.PoisonBatchError` is *not* a pool failure: the
-pool already restored itself and fingered the row block, so the batch
-runs serially and the breaker records a success.  Per-request
-``deadline_ms`` bounds let callers cap queueing delay: requests whose
-deadline lapsed while queued fail with
+Failure semantics (see ``docs/SERVING.md``): every batch runs through a
+:class:`~repro.serve.backend.PoolBackend`, the one place the
+pool -> breaker -> serial policy lives.  The pool resurrects its own
+workers, so transient chaos heals *inside* a call; a pool call that
+still fails counts against the
+:class:`~repro.serve.breaker.CircuitBreaker` and the batch re-runs
+serially (identical answers).  The pool is never discarded on failure.
+
+Per-request ``deadline_ms`` bounds let callers cap queueing delay:
+requests whose deadline lapsed while queued fail with
 :class:`~repro.errors.DeadlineExceededError` at dispatch time, and
 futures cancelled by the caller (e.g. an :meth:`InferenceServer.infer`
 timeout) are skipped instead of burning a batch slot.
@@ -45,6 +43,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, DeadlineExceededError
 from repro.snn.binarize import BinarizedNetwork
+from repro.serve.backend import PoolBackend
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.metrics import MetricsRecorder, ServerStats
 from repro.ssnn.compile import (
@@ -52,7 +51,6 @@ from repro.ssnn.compile import (
     compile_network,
     resolve_plan_cache,
 )
-from repro.ssnn.pool import PoisonBatchError
 
 
 @dataclass(frozen=True)
@@ -161,7 +159,9 @@ class InferenceServer:
         self._admission_lock = threading.Lock()
         self._admissions = 0
         self._metrics = MetricsRecorder()
-        self._pool = None
+        self._backend = PoolBackend(
+            compiled, workers, breaker=self.breaker, metrics=self._metrics
+        )
         self._thread: Optional[threading.Thread] = None
         self._running = False
         self._accepting = False
@@ -172,15 +172,7 @@ class InferenceServer:
     def start(self) -> "InferenceServer":
         if self._running:
             return self
-        if self.workers > 1 and self._pool is None:
-            from repro.ssnn.pool import InferencePool
-
-            try:
-                self._pool = InferencePool(
-                    self.compiled, workers=self.workers
-                )
-            except self._DEGRADE_ERRORS:
-                self._pool = None  # serve serially
+        self._open_backend()
         self._stopping.clear()
         self._running = True
         self._accepting = True
@@ -195,7 +187,7 @@ class InferenceServer:
         requests are answered first; otherwise they fail fast with a
         :class:`ConfigurationError`."""
         if not self._running:
-            self._release_pool()
+            self._backend.close()
             return
         self._accepting = False
         if not drain:
@@ -207,7 +199,7 @@ class InferenceServer:
         self._running = False
         self._thread = None
         self._fail_pending("server stopped before this request ran")
-        self._release_pool()
+        self._backend.close()
 
     def drain(self, timeout: float = 30.0) -> bool:
         """Stop accepting new requests and wait until every accepted
@@ -242,10 +234,9 @@ class InferenceServer:
         return (self._queue.empty() and self._holdback is None
                 and self.stats().pending == 0)
 
-    def _release_pool(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.close()
+    def _open_backend(self) -> None:
+        """Spawn the pool (when configured) before dispatch starts."""
+        self._backend.open()
 
     def _fail_pending(self, reason: str) -> None:
         pending: List[_Request] = []
@@ -362,14 +353,13 @@ class InferenceServer:
         return self._queue.qsize() + (1 if self._holdback is not None else 0)
 
     def stats(self) -> ServerStats:
-        pool = self._pool
-        queue_depth = self.queue_depth()
+        configured, alive, restarts = self._backend.gauges()
         return self._metrics.snapshot(
             breaker_state=self.breaker.state,
-            workers_configured=(self.workers if pool is not None else 0),
-            workers_alive=(pool.alive_workers() if pool is not None else 0),
-            worker_restarts=(pool.restarts if pool is not None else 0),
-            queue_depth=queue_depth,
+            workers_configured=configured,
+            workers_alive=alive,
+            worker_restarts=restarts,
+            queue_depth=self.queue_depth(),
         )
 
     def health(self) -> Dict:
@@ -380,7 +370,7 @@ class InferenceServer:
             "running": self._running,
             "accepting": self._accepting,
             "ready": self.readiness(),
-            "mode": "pool" if self._pool is not None else "serial",
+            "mode": "pool" if stats.workers_configured else "serial",
             "breaker": self.breaker.snapshot().to_dict(),
             "stats": stats.to_dict(),
         }
@@ -392,8 +382,6 @@ class InferenceServer:
                 and not self._stopping.is_set())
 
     # -- dispatcher ----------------------------------------------------------
-
-    _DEGRADE_ERRORS = (ImportError, OSError, PermissionError, RuntimeError)
 
     def _admit(self, request: _Request) -> bool:
         """Dispatch-time admission: skip cancelled futures and expire
@@ -477,31 +465,11 @@ class InferenceServer:
                     request.future.set_exception(exc)
 
     def _forward(self, rows: np.ndarray):
-        pool = self._pool
-        if pool is not None and not pool.closed and self.breaker.allow():
-            try:
-                result = pool.infer_rows(rows)
-            except PoisonBatchError:
-                # The pool healed itself and quarantined this row block;
-                # that is a pool *success* (the block is the suspect).
-                # Run this batch serially and keep the pool.
-                self.breaker.record_success()
-                self._metrics.record_poison()
-            except self._DEGRADE_ERRORS:
-                # Pool call failed even after supervision: count it
-                # toward the breaker and serve this batch serially.
-                # The pool is kept -- the breaker decides when (and
-                # whether) to try it again.
-                self.breaker.record_failure()
-                self._metrics.record_pool_failure()
-            else:
-                self.breaker.record_success()
-                return result
-        return self.compiled.forward_rows(rows)
+        return self._backend.forward(rows)
 
     def __repr__(self) -> str:
-        mode = (f"pool[{self.workers}]" if self._pool is not None
-                else "serial")
+        workers = self._backend.gauges()[0]
+        mode = f"pool[{workers}]" if workers else "serial"
         state = "running" if self._running else "stopped"
         return (f"<InferenceServer {state} {mode} "
                 f"breaker={self.breaker.state} "

@@ -7,7 +7,7 @@ Two execution engines share one semantics:
   ``(T, batch)`` test set is folded into one row block per layer, so the
   numpy kernels see thousands of independent rows at once instead of one
   time step at a time; used by the Table 3 benchmark.  An optional
-  ``max_workers`` process pool shards the rows for multi-core runs.
+  ``max_workers`` persistent pool shards the rows for multi-core runs.
 * ``engine="behavioral"`` -- drives a
   :class:`repro.neuro.chip.BehavioralChip` through the full bit-slice
   protocol pass by pass: slow but protocol-exact, used to validate the fast
@@ -182,8 +182,7 @@ def _fast_forward_rows(
     """Push independent spike rows through the layer stack under exact
     ripple-counter semantics.
 
-    Returns ``(decisions, spurious, synops)``.  Module-level (not a
-    method) so process-pool workers can pickle it.  This is the
+    Returns ``(decisions, spurious, synops)``.  This is the
     *legacy* (pre-compile) kernel kept as the differential baseline;
     the serving path runs the fused
     :meth:`repro.ssnn.compile.CompiledNetwork.forward_rows` instead,
@@ -202,32 +201,6 @@ def _fast_forward_rows(
         synops += int((current @ (layer.signed_weights != 0)).sum())
         current = decisions
     return current, spurious, synops
-
-
-# -- process-pool worker state (one-shot executor path) ----------------------
-#
-# The layer stack (or compiled plan) crosses the process boundary exactly
-# once, through the executor's initializer, instead of being re-pickled
-# with every mapped chunk as the interim implementation did.
-
-_WORKER_STATE: dict = {}
-
-
-def _init_fast_worker(layers, capacity, reorder) -> None:
-    _WORKER_STATE["fast"] = (list(layers), capacity, reorder)
-
-
-def _run_fast_chunk(chunk: np.ndarray) -> Tuple[np.ndarray, int, int]:
-    layers, capacity, reorder = _WORKER_STATE["fast"]
-    return _fast_forward_rows(layers, chunk, capacity, reorder)
-
-
-def _init_compiled_worker(compiled: CompiledNetwork) -> None:
-    _WORKER_STATE["compiled"] = compiled
-
-
-def _run_compiled_chunk(chunk: np.ndarray) -> Tuple[np.ndarray, int, int]:
-    return _WORKER_STATE["compiled"].forward_rows(chunk)
 
 
 @dataclass
@@ -278,21 +251,20 @@ class SushiRuntime:
             (protocol-exact chip model).
         reorder: Stream inhibitory synapses first (the paper's bucketing);
             ``False`` selects the naive-order ablation (fast engine only).
-        max_workers: Fast engine only -- shard the row block across a
-            worker pool of this size.  ``None``/``0``/``1`` run serially
-            (the default; identical results either way, the pool only
-            changes wall-clock time).  With ``persistent_workers=True``
-            (default) the workers are a long-lived
-            :class:`~repro.ssnn.pool.InferencePool`: spawned on first
-            use, fed through shared memory, reused across ``infer``
-            calls, released by :meth:`close` (or GC).
-        persistent_workers: When False, fall back to a throwaway
-            per-call ``ProcessPoolExecutor`` (the plan still crosses
-            the process boundary only once, via the initializer).
+        max_workers: Compiled fast engine only -- shard the row block
+            across a worker pool of this size.  ``None``/``0``/``1`` run
+            serially (the default; identical results either way, the
+            pool only changes wall-clock time).  The workers are a
+            long-lived :class:`~repro.ssnn.pool.InferencePool` behind a
+            :class:`~repro.serve.backend.PoolBackend` (breaker-guarded,
+            serial fallback): spawned on first use, fed through shared
+            memory, reused across ``infer`` calls, released by
+            :meth:`close` (or GC).
         use_compiled: Execute the fast engine through the compile-once
             :class:`~repro.ssnn.compile.CompiledNetwork` artifact
             (default).  ``False`` selects the legacy per-layer kernel --
-            bit-identical, kept as the differential baseline.
+            bit-identical, always serial, kept as the differential
+            baseline.
         plan_cache: ``"default"`` (share the process-wide on-disk
             :class:`~repro.ssnn.compile.PlanCache`), ``None`` (compile
             in memory only) or an explicit :class:`PlanCache`.
@@ -323,7 +295,6 @@ class SushiRuntime:
         retry_policy: Optional[RetryPolicy] = None,
         use_compiled: bool = True,
         plan_cache="default",
-        persistent_workers: bool = True,
     ):
         if engine not in ("fast", "behavioral"):
             raise ConfigurationError(
@@ -339,11 +310,10 @@ class SushiRuntime:
         self.faults = faults
         self.retry_policy = retry_policy or RetryPolicy()
         self.use_compiled = use_compiled
-        self.persistent_workers = persistent_workers
         self.plan_cache: Optional[PlanCache] = resolve_plan_cache(plan_cache)
         self._plan_cache: dict = {}
         self._compiled_memo: dict = {}
-        self._pool = None  # lazily-built InferencePool (persistent workers)
+        self._backend = None  # lazily-built PoolBackend (max_workers > 1)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -351,9 +321,9 @@ class SushiRuntime:
         """Release the persistent worker pool (if one was spawned).
         Safe to call repeatedly; the runtime stays usable (a fresh pool
         is spawned on the next parallel dispatch)."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.close()
+        backend, self._backend = self._backend, None
+        if backend is not None:
+            backend.close()
 
     def __enter__(self) -> "SushiRuntime":
         return self
@@ -551,8 +521,8 @@ class SushiRuntime:
             )
             reloads = compiled.reload_events * steps * batch
         else:
-            decisions, spurious, synops = self._dispatch_rows(
-                network.layers, rows, capacity
+            decisions, spurious, synops = _fast_forward_rows(
+                network.layers, rows, capacity, self.reorder
             )
             reloads = self._plan_for(network).reload_events() * steps * batch
         raster = decisions.reshape(steps, batch, network.out_features)
@@ -566,16 +536,6 @@ class SushiRuntime:
             reload_events=reloads,
         )
 
-    # Degrade-to-serial exception set: a missing/forbidden multiprocessing
-    # stack (ImportError/OSError/PermissionError) and mid-run pool
-    # failures -- concurrent.futures' BrokenProcessPool and the
-    # RuntimeErrors raised by bad spawn contexts both derive from
-    # RuntimeError, as does InferencePoolError.  Sharding is by rows, so
-    # the serial fallback is bit-identical, only slower.
-    _POOL_FALLBACK_ERRORS = (
-        ImportError, OSError, PermissionError, RuntimeError,
-    )
-
     def _want_parallel(self, n_rows: int) -> int:
         """Worker count to use for an ``n_rows`` block (0 = serial)."""
         workers = self.max_workers or 0
@@ -584,79 +544,27 @@ class SushiRuntime:
         return 0
 
     def _dispatch_rows_compiled(self, compiled, rows):
-        """Serial, persistent-pool or one-shot-executor execution of the
-        row block through the compiled artifact."""
-        from repro.ssnn.pool import PoisonBatchError
-
-        workers = self._want_parallel(rows.shape[0])
-        if workers:
-            try:
-                if self.persistent_workers:
-                    return self._pool_for(compiled).infer_rows(rows)
-                return self._dispatch_rows_executor(
-                    _init_compiled_worker, (compiled,),
-                    _run_compiled_chunk, rows, workers,
-                )
-            except PoisonBatchError:
-                # The pool quarantined this row block after it killed
-                # workers twice; the pool itself already healed, so
-                # keep it and run only this block serially.
-                pass
-            except self._POOL_FALLBACK_ERRORS:
-                self.close()  # drop a broken pool; respawn on next call
+        """Serial or pool execution of the row block through the
+        compiled artifact (pool failures degrade to serial)."""
+        if self._want_parallel(rows.shape[0]):
+            return self._backend_for(compiled).forward(rows)
         return compiled.forward_rows(rows)
 
-    def _pool_for(self, compiled):
-        """The lazily-spawned persistent pool, rebuilt when the compiled
+    def _backend_for(self, compiled):
+        """The lazily-spawned pool backend, rebuilt when the compiled
         plan (or worker count) it serves has changed."""
-        from repro.ssnn.pool import InferencePool
+        from repro.serve.backend import PoolBackend
 
-        pool = self._pool
+        backend = self._backend
         if (
-            pool is None
-            or pool.closed
-            or pool.compiled.fingerprint != compiled.fingerprint
-            or pool.workers != self.max_workers
+            backend is None
+            or backend.compiled.fingerprint != compiled.fingerprint
+            or backend.workers != self.max_workers
         ):
             self.close()
-            pool = InferencePool(compiled, workers=self.max_workers)
-            self._pool = pool
-        return pool
-
-    def _dispatch_rows(self, layers, rows, capacity):
-        """Legacy-path execution of the row block (serial or one-shot
-        executor).  Sharding is by rows, which are independent, so worker
-        count never changes the results -- only the wall-clock time."""
-        workers = self._want_parallel(rows.shape[0])
-        if workers:
-            try:
-                return self._dispatch_rows_executor(
-                    _init_fast_worker,
-                    (list(layers), capacity, self.reorder),
-                    _run_fast_chunk, rows, workers,
-                )
-            except self._POOL_FALLBACK_ERRORS:
-                pass  # no usable process pool here; fall through to serial
-        return _fast_forward_rows(layers, rows, capacity, self.reorder)
-
-    @staticmethod
-    def _dispatch_rows_executor(initializer, initargs, fn, rows, workers):
-        """One-shot ``ProcessPoolExecutor`` dispatch.  The weights cross
-        the process boundary exactly once per worker (initializer), not
-        once per chunk as the interim implementation pickled them."""
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = np.array_split(rows, workers)
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=initializer,
-            initargs=initargs,
-        ) as pool:
-            parts = list(pool.map(fn, chunks))
-        decisions = np.concatenate([p[0] for p in parts], axis=0)
-        spurious = sum(p[1] for p in parts)
-        synops = sum(p[2] for p in parts)
-        return decisions, spurious, synops
+            backend = PoolBackend(compiled, self.max_workers).open()
+            self._backend = backend
+        return backend
 
     # -- behavioural engine ------------------------------------------------------
 

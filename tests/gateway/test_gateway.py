@@ -394,9 +394,11 @@ class TestPriorityShedding:
                           shed_queue_depth=1) as gateway:
             server = gateway.server
             release = threading.Event()
+            entered = threading.Event()
             original = server._forward
 
             def held_forward(rows):
+                entered.set()
                 release.wait(15.0)
                 return original(rows)
 
@@ -410,7 +412,9 @@ class TestPriorityShedding:
                 blocker = threading.Thread(target=alpha_request,
                                            args=("blocker",))
                 blocker.start()
-                _wait_for(lambda: server.stats().pending >= 1)
+                # Queue the next row only once the blocker's batch is
+                # running, so the two cannot leave in one batch.
+                _wait_for(entered.is_set)
                 # One queued row puts depth at the shed watermark.
                 queued = server.submit(train)
                 _wait_for(lambda: server.queue_depth() >= 1)

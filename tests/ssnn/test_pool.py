@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.harness import random_binarized_network, random_spike_trains
 from repro.harness.chaos import FreezeHook, KillHook
+from repro.serve.backend import PoolBackend
 from repro.ssnn import (
     InferencePool,
     InferencePoolError,
@@ -278,7 +279,7 @@ class TestRuntimeIntegration:
         ).infer(network, trains)
         with SushiRuntime(
             chip_n=CHIP_N, sc_per_npe=SC, max_workers=2,
-            persistent_workers=True, plan_cache=None,
+            plan_cache=None,
         ) as runtime:
             pooled = runtime.infer(network, trains)
             # The pool persists across calls on the same runtime.
@@ -291,7 +292,7 @@ class TestRuntimeIntegration:
 
     def test_runtime_keeps_pool_on_poison_batch(self):
         """PoisonBatchError routes the block serially *without* tearing
-        the pool down (every other pool failure still drops it)."""
+        the pool down."""
         rng = np.random.default_rng(33)
         network = random_binarized_network(
             rng, sizes=(10, 7, 4), sc_per_npe=SC
@@ -303,6 +304,7 @@ class TestRuntimeIntegration:
 
         class _QuarantiningPool:
             calls = 0
+            closed = False
 
             def infer_rows(self, rows):
                 type(self).calls += 1
@@ -310,11 +312,13 @@ class TestRuntimeIntegration:
 
         runtime = SushiRuntime(
             chip_n=CHIP_N, sc_per_npe=SC, max_workers=2,
-            persistent_workers=True, plan_cache=None,
+            plan_cache=None,
         )
         closes = []
         original_close = runtime.close
-        runtime._pool_for = lambda compiled: _QuarantiningPool()
+        backend = PoolBackend(runtime._compiled_for(network), workers=2)
+        backend.pool = _QuarantiningPool()
+        runtime._backend_for = lambda compiled: backend
         runtime.close = lambda: closes.append(True)
         try:
             poisoned = runtime.infer(network, trains)
@@ -339,11 +343,11 @@ class TestRuntimeIntegration:
         ).infer(network, trains)
         with SushiRuntime(
             chip_n=CHIP_N, sc_per_npe=SC, max_workers=2,
-            persistent_workers=True, plan_cache=None,
+            plan_cache=None,
         ) as runtime:
             first = runtime.infer(network, trains)
             # Kill the pool workers behind the runtime's back.
-            for proc in runtime._pool._procs:
+            for proc in runtime._backend.pool._procs:
                 proc.terminate()
                 proc.join(timeout=5.0)
             healed = runtime.infer(network, trains)
