@@ -9,7 +9,9 @@ Two layers of defence, mirroring ``test_fault_overhead.py``:
   steady state the supervision machinery must be provably idle --
   zero respawns, zero stale-task drains, zero segment churn (both
   shared segments keep their warm-up identity), and the per-call
-  supervision cost is one ``is_alive()`` poll per worker.  These
+  supervision cost is one ``is_alive()`` poll per worker.  The pool
+  also starts no thread in the parent process (workers talk over
+  pipes, so there is no queue feeder thread to hop through).  These
   assertions catch a hot-path regression without any timing noise.
 * **Empirical** (best-of-N wall clock): *interleaved* steady-state
   ``infer_rows`` sweep pairs (legacy, then supervised, under the same
@@ -20,6 +22,7 @@ Two layers of defence, mirroring ``test_fault_overhead.py``:
 """
 
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -67,6 +70,14 @@ class TestStructuralGuard:
             assert pool._segments[0].name == in_name
             assert pool._segments[1].name == out_name
             assert pool.alive_workers() == WORKERS
+
+    def test_pool_starts_no_parent_side_thread(self):
+        compiled, rows = _workload()
+        before = threading.active_count()
+        with InferencePool(compiled, workers=WORKERS) as pool:
+            for _ in range(5):
+                pool.infer_rows(rows)
+            assert threading.active_count() == before
 
     def test_supervised_pool_is_bit_identical_to_legacy(self):
         compiled, rows = _workload()

@@ -31,13 +31,15 @@ timeout) are skipped instead of burning a batch slot.
 
 from __future__ import annotations
 
+import math
 import queue
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Deque, Dict, List, Optional
 
 import numpy as np
 
@@ -74,12 +76,15 @@ class ServeResult:
     steps: int
 
 
-@dataclass
 class _Request:
-    train: np.ndarray  # (T, in_features)
-    future: Future
-    enqueued: float
-    deadline: Optional[float] = None  # monotonic instant, None = no bound
+    __slots__ = ("train", "future", "enqueued", "deadline")
+
+    def __init__(self, train: np.ndarray, future: Future, enqueued: float,
+                 deadline: Optional[float] = None):
+        self.train = train  # (T, in_features)
+        self.future = future
+        self.enqueued = enqueued
+        self.deadline = deadline  # monotonic instant, None = no bound
 
 
 class InferenceServer:
@@ -100,8 +105,9 @@ class InferenceServer:
             for that batch (served results are identical) and count
             against the circuit breaker.
         plan_cache: See :func:`repro.ssnn.compile.resolve_plan_cache`.
-        queue_max: Backpressure bound; :meth:`submit` raises
-            ``queue.Full`` beyond it.
+        queue_max: Backpressure bound (``<= 0`` = unbounded); beyond it
+            :meth:`submit` blocks, up to its ``timeout``, then raises
+            ``queue.Full``.
         breaker: Circuit breaker guarding the pool path; a default
             :class:`~repro.serve.breaker.CircuitBreaker` is constructed
             when omitted.  Inject one with custom thresholds (or a fake
@@ -150,14 +156,14 @@ class InferenceServer:
         self.deadline_ms = deadline_ms
         self.workers = workers
         self.breaker = breaker if breaker is not None else CircuitBreaker()
-        self._queue: "queue.Queue[_Request]" = queue.Queue(maxsize=queue_max)
-        self._holdback: Optional[_Request] = None
-        # Guards the accepting-check/enqueue handshake against drain():
-        # a submit that passed the check is counted in _admissions until
-        # its request is actually queued, so drain cannot declare the
-        # server settled while an admission is still in flight.
-        self._admission_lock = threading.Lock()
-        self._admissions = 0
+        # One lock over the queue and the accepting flag: a submit checks
+        # acceptance, enqueues and is counted in one critical section, so
+        # drain() can never see an accepted request outside the queue
+        # and the stats.  Waiters are the dispatcher (queue empty) and
+        # submitters blocked by backpressure (queue full).
+        self._cond = threading.Condition(threading.Lock())
+        self._pending: Deque[_Request] = deque()
+        self._queue_max = queue_max if queue_max > 0 else math.inf
         self._metrics = MetricsRecorder()
         self._backend = PoolBackend(
             compiled, workers, breaker=self.breaker, metrics=self._metrics
@@ -189,10 +195,12 @@ class InferenceServer:
         if not self._running:
             self._backend.close()
             return
-        self._accepting = False
+        self._stop_accepting()
         if not drain:
             self._fail_pending("server stopped before this request ran")
         self._stopping.set()
+        with self._cond:
+            self._cond.notify_all()  # an idle dispatcher exits at once
         thread = self._thread
         if thread is not None:
             thread.join(timeout=timeout)
@@ -211,13 +219,12 @@ class InferenceServer:
 
         Idempotent and safe to call concurrently -- with other
         :meth:`drain` calls (each independently waits for quiescence)
-        and with in-flight :meth:`submit` / :meth:`infer`: a request
-        that passed the accepting-check before the flip is either
-        counted by ``_admissions`` (drain waits for it to land in the
-        queue) or already queued (drain waits for its resolution), so
-        ``True`` never strands an accepted request."""
-        with self._admission_lock:
-            self._accepting = False
+        and with in-flight :meth:`submit` / :meth:`infer`: a submit
+        either enqueued before the flip (drain waits for its
+        resolution) or is rejected with :class:`ConfigurationError` --
+        including one blocked by backpressure -- so ``True`` never
+        strands an accepted request."""
+        self._stop_accepting()
         deadline = time.monotonic() + timeout
         while not self._settled():
             if time.monotonic() >= deadline:
@@ -225,29 +232,26 @@ class InferenceServer:
             time.sleep(0.005)
         return True
 
+    def _stop_accepting(self) -> None:
+        """Flip intake off and wake submitters blocked by backpressure,
+        so they are rejected instead of enqueued."""
+        with self._cond:
+            self._accepting = False
+            self._cond.notify_all()
+
     def _settled(self) -> bool:
-        """No admission mid-handshake, nothing queued or held back, and
-        every accepted request resolved."""
-        with self._admission_lock:
-            if self._admissions > 0:
-                return False
-        return (self._queue.empty() and self._holdback is None
-                and self.stats().pending == 0)
+        """Nothing queued and every accepted request resolved."""
+        return not self._pending and self.stats().pending == 0
 
     def _open_backend(self) -> None:
         """Spawn the pool (when configured) before dispatch starts."""
         self._backend.open()
 
     def _fail_pending(self, reason: str) -> None:
-        pending: List[_Request] = []
-        if self._holdback is not None:
-            pending.append(self._holdback)
-            self._holdback = None
-        while True:
-            try:
-                pending.append(self._queue.get_nowait())
-            except queue.Empty:
-                break
+        with self._cond:
+            pending = list(self._pending)
+            self._pending.clear()
+            self._cond.notify_all()
         failed = 0
         for request in pending:
             if request.future.set_running_or_notify_cancel():
@@ -276,8 +280,11 @@ class InferenceServer:
         """Enqueue one sample; returns a future of :class:`ServeResult`.
 
         ``spike_train`` is ``(T, in_features)`` (or ``(T, 1,
-        in_features)``, squeezed).  Raises immediately on shape errors
-        and ``queue.Full`` under backpressure.  With ``deadline_ms`` the
+        in_features)``, squeezed).  Raises immediately on shape errors.
+        Under backpressure (``queue_max`` requests queued) it blocks
+        until there is room: indefinitely with ``timeout=None``,
+        otherwise up to ``timeout`` seconds before raising
+        ``queue.Full``.  With ``deadline_ms`` the
         request fails with :class:`DeadlineExceededError` instead of
         executing if it is still queued when the deadline lapses.
         """
@@ -299,32 +306,25 @@ class InferenceServer:
                 f"{self.compiled.in_features}"
             )
         now = time.monotonic()
-        future: Future = Future()
         request = _Request(
-            train=train,
-            future=future,
-            enqueued=now,
-            deadline=(now + deadline_ms / 1000.0
-                      if deadline_ms is not None else None),
+            train, Future(), now,
+            now + deadline_ms / 1000.0 if deadline_ms is not None else None,
         )
-        # Re-check acceptance under the admission lock and hold an
-        # admission slot across the (possibly blocking) enqueue, so a
-        # concurrent drain() either rejects this request here or waits
-        # for it -- it can never return True with the request stranded
-        # between the check and the queue.
-        with self._admission_lock:
+        pending = self._pending
+        with self._cond:
+            if len(pending) >= self._queue_max and not self._cond.wait_for(
+                lambda: not self._accepting or len(pending) < self._queue_max,
+                timeout,
+            ):
+                raise queue.Full
             if not self._running or not self._accepting:
                 raise ConfigurationError(
                     "server is not accepting requests; call start()"
                 )
-            self._admissions += 1
-        try:
-            self._queue.put(request, timeout=timeout)
+            pending.append(request)
             self._metrics.record_submit()
-        finally:
-            with self._admission_lock:
-                self._admissions -= 1
-        return future
+            self._cond.notify()
+        return request.future
 
     def infer(
         self,
@@ -350,7 +350,7 @@ class InferenceServer:
         """Requests waiting in the batching queue right now.  Cheap
         (no lock, no percentile sort) -- the per-request admission
         probe for gateways, unlike the full :meth:`stats` snapshot."""
-        return self._queue.qsize() + (1 if self._holdback is not None else 0)
+        return len(self._pending)
 
     def stats(self) -> ServerStats:
         configured, alive, restarts = self._backend.gauges()
@@ -401,37 +401,38 @@ class InferenceServer:
             return False
         return True
 
-    def _next_request(self, timeout: float) -> Optional[_Request]:
-        if self._holdback is not None:
-            request, self._holdback = self._holdback, None
-            return request
-        try:
-            return self._queue.get(timeout=timeout)
-        except queue.Empty:
-            return None
+    def _take(self, shape, limit: int) -> Optional[List[_Request]]:
+        """In one lock hold, pop up to ``limit`` queued requests whose
+        trains have ``shape`` (``None`` = the head's shape, waiting for
+        a head if the queue is empty).  A shape change stops the take;
+        the straggler stays at the head.  ``None`` once stopping with
+        nothing queued."""
+        pending = self._pending
+        with self._cond:
+            if shape is None:
+                while not pending:
+                    if self._stopping.is_set():
+                        return None
+                    self._cond.wait(0.05)
+                shape = pending[0].train.shape
+            taken = []
+            while (pending and len(taken) < limit
+                   and pending[0].train.shape == shape):
+                taken.append(pending.popleft())
+            self._cond.notify_all()  # room for submitters under backpressure
+        return taken
 
     def _serve_loop(self) -> None:
         while True:
-            first = self._next_request(timeout=0.05)
-            if first is None:
-                if self._stopping.is_set() and self._queue.empty() \
-                        and self._holdback is None:
-                    return
-                continue
-            if not self._admit(first):
-                continue
-            batch = [first]
+            batch: List[_Request] = []
             while len(batch) < self.batch_max:
-                try:
-                    nxt = self._queue.get_nowait()
-                except queue.Empty:
+                taken = self._take(batch[0].train.shape if batch else None,
+                                   self.batch_max - len(batch))
+                if taken is None:
+                    return
+                if not taken:
                     break
-                if nxt.train.shape != first.train.shape:
-                    # Never mix shapes: the straggler leads the next batch.
-                    self._holdback = nxt
-                    break
-                if self._admit(nxt):
-                    batch.append(nxt)
+                batch.extend(r for r in taken if self._admit(r))
             self._run_batch(batch)
 
     def _run_batch(self, batch: List[_Request]) -> None:
@@ -444,17 +445,18 @@ class InferenceServer:
             raster = decisions.reshape(steps, len(batch), n_out)
             rates = (raster.mean(axis=0) if steps
                      else raster.sum(axis=0))  # (batch, out)
+            predictions = rates.argmax(axis=1).tolist()
             now = time.monotonic()
             latencies = [(now - r.enqueued) * 1000.0 for r in batch]
             # Count the batch before resolving it: a caller holding its
             # answer must already see it in stats().
             self._metrics.record_batch(len(batch), synops, latencies)
-            for i, (request, latency_ms) in enumerate(zip(batch, latencies)):
+            for i, request in enumerate(batch):
                 request.future.set_result(ServeResult(
                     rates=rates[i],
-                    prediction=int(rates[i].argmax()),
+                    prediction=predictions[i],
                     output_raster=raster[:, i, :],
-                    latency_ms=latency_ms,
+                    latency_ms=latencies[i],
                     batch_size=len(batch),
                     steps=steps,
                 ))

@@ -12,8 +12,14 @@ for a serving workload that is pure overhead on the hot path.
 * **Row blocks travel by shared memory.**  Every call writes the input
   rows into a reusable ``multiprocessing.shared_memory`` segment and the
   workers write their decision shards into a shared output segment;
-  the per-call queue traffic is a handful of tuples of ints -- zero
+  the per-call pipe traffic is a handful of small tuples -- zero
   pickling of weights or row data.
+* **One pipe per worker.**  Each worker owns a duplex
+  ``multiprocessing.Pipe``: tasks go down it, results come back up it,
+  and the parent waits on all of them with
+  ``multiprocessing.connection.wait``.  No queue feeder thread sits
+  between a send and its receiver, and the pool starts no thread in
+  the parent.
 * **Scratch buffers persist.**  The input/output segments are
   preallocated and grown geometrically, so steady-state serving does no
   segment creation at all.
@@ -28,17 +34,21 @@ Supervision (see ``docs/SERVING.md`` -- "Failure semantics")
 
 SUSHI's own evaluation leans on surviving physical failure modes (JJ
 yield, flux trapping); the serving layer extends that discipline to
-*process-level* chaos.  Each worker owns a private task queue, so the
-parent always knows which shards a worker holds:
+*process-level* chaos.  A per-slot in-flight ledger, keyed by
+``(job, epoch, shard)``, records every task sent and not yet answered,
+so the parent always knows which shards a worker holds:
 
 * **Resurrection.**  A dead worker (crash, OOM-kill, SIGKILL) is
   detected by liveness polling during the result wait; the parent
-  respawns it into the same slot (fresh queue, same pickled plan) and
-  re-dispatches *only the missing shards* to the surviving/respawned
-  workers.  Shard accounting is exactly-once per row block per epoch
-  (a ``completed`` map keyed by shard index), so recovered results --
-  and their spurious/synops counters -- are provably bit-identical to
-  a serial :meth:`CompiledNetwork.forward_rows` run.
+  respawns it into the same slot (fresh pipe, same pickled plan) and
+  re-dispatches *only the missing shards* -- the dead slot's ledger
+  entries -- to the surviving/respawned workers.  A send to a dead
+  worker's pipe is dropped silently; the task stays in the ledger
+  until the liveness poll re-dispatches it.  Shard accounting is
+  exactly-once per row block per epoch (a ``completed`` map keyed by
+  shard index), so recovered results -- and their spurious/synops
+  counters -- are provably bit-identical to a serial
+  :meth:`CompiledNetwork.forward_rows` run.
 * **Frozen workers.**  ``result_timeout_s`` is a *progress* deadline:
   if no shard lands within it, the workers still holding shards are
   force-killed (``SIGKILL`` -- a frozen/SIGSTOPped process ignores
@@ -56,11 +66,11 @@ parent always knows which shards a worker holds:
   surface as retryable shard failures: the parent retires both
   segments, republishes the rows under a bumped epoch, and re-runs the
   whole block.
-* **Stale-task drain.**  When a call aborts mid-flight, its
-  unaccounted tasks are drained from the worker queues (and the result
-  queue) before the next call reuses the segments; anything still
-  unaccounted after a short grace forces fresh segment names, so a
-  recycled name can never be written by a zombie.
+* **Stale-task drain.**  When a call aborts mid-flight, its tasks
+  still in the ledger are left to answer: the next call first waits a
+  short grace for them, and anything still unanswered after it forces
+  fresh segment names, so a recycled name can never be written by a
+  zombie.
 
 Zero-failure overhead of all of the above is a 16-byte header write per
 call plus per-shard dict bookkeeping -- gated below 5% against the
@@ -72,7 +82,6 @@ from __future__ import annotations
 import itertools
 import os
 import pickle
-import queue as queue_module
 import struct
 import threading
 import time
@@ -144,86 +153,97 @@ def _pack_guard(job: int, epoch: int) -> bytes:
     return struct.pack("<QQ", job & 0xFFFFFFFFFFFFFFFF, epoch)
 
 
-def _worker_main(slot, payload, tasks, results, chaos_hook=None) -> None:
-    """Worker loop: deserialize the compiled plan once, then serve row
-    shards from this slot's private queue until the ``None`` sentinel.
-
-    Results are ``(job, epoch, shard, spurious, synops, status, msg)``
-    with ``status`` one of ``"ok"`` (shard done), ``"shm"`` (segment
+def _run_task(compiled: CompiledNetwork, slot, task, chaos_hook):
+    """Run one shard task; returns its result tuple
+    ``(job, epoch, shard, spurious, synops, status, msg)`` with
+    ``status`` one of ``"ok"`` (shard done), ``"shm"`` (segment
     vanished -- retryable), ``"stale"`` (epoch guard mismatch -- the
-    task outlived its job) or ``"error"`` (execution failed).
-    """
+    task outlived its job) or ``"error"`` (execution failed)."""
+    (job, epoch, shard, in_name, shape, out_name, start, end) = task
+    key = (job, epoch, shard)
+    guard = _pack_guard(job, epoch)
+    try:
+        if chaos_hook is not None:
+            chaos_hook(slot, job, epoch, shard, in_name, out_name)
+        try:
+            shm_in = _attach_shm(in_name)
+        except FileNotFoundError:
+            return key + (0, 0, "shm", f"input segment {in_name} vanished")
+        try:
+            if bytes(shm_in.buf[:_HEADER]) != guard:
+                return key + (0, 0, "stale", "input epoch guard mismatch")
+            rows = np.ndarray(
+                tuple(shape), dtype=np.float64,
+                buffer=shm_in.buf, offset=_HEADER,
+            )
+            decisions, spurious, synops = compiled.forward_rows(
+                rows[start:end]
+            )
+            del rows
+            try:
+                shm_out = _attach_shm(out_name)
+            except FileNotFoundError:
+                return key + (0, 0, "shm",
+                              f"output segment {out_name} vanished")
+            try:
+                # Re-validate immediately before the only externally
+                # visible write: a zombie task of an aborted job must
+                # never scribble into a successor's buffers.
+                if bytes(shm_in.buf[:_HEADER]) != guard:
+                    return key + (0, 0, "stale",
+                                  "input epoch guard changed mid-task")
+                out = np.ndarray(
+                    (shape[0], compiled.out_features),
+                    dtype=np.float64,
+                    buffer=shm_out.buf,
+                )
+                out[start:end] = decisions
+                del out
+            finally:
+                shm_out.close()
+        finally:
+            shm_in.close()
+        return key + (spurious, synops, "ok", None)
+    except Exception as exc:  # surface the traceback to the parent
+        import traceback
+
+        return key + (0, 0, "error", f"{exc}\n{traceback.format_exc()}")
+
+
+def _worker_main(slot, payload, conn, chaos_hook=None) -> None:
+    """Worker loop: deserialize the compiled plan once, then answer row
+    shard tasks arriving on this slot's pipe until the ``None`` sentinel
+    (or the parent's end closing)."""
     compiled: CompiledNetwork = pickle.loads(payload)
     while True:
-        task = tasks.get()
+        try:
+            task = conn.recv()
+        except EOFError:
+            return
         if task is None:
             return
-        (job, epoch, shard, in_name, shape, out_name, start, end) = task
-        guard = _pack_guard(job, epoch)
-        try:
-            if chaos_hook is not None:
-                chaos_hook(slot, job, epoch, shard, in_name, out_name)
-            try:
-                shm_in = _attach_shm(in_name)
-            except FileNotFoundError:
-                results.put((job, epoch, shard, 0, 0, "shm",
-                             f"input segment {in_name} vanished"))
-                continue
-            try:
-                if bytes(shm_in.buf[:_HEADER]) != guard:
-                    results.put((job, epoch, shard, 0, 0, "stale",
-                                 "input epoch guard mismatch"))
-                    continue
-                rows = np.ndarray(
-                    tuple(shape), dtype=np.float64,
-                    buffer=shm_in.buf, offset=_HEADER,
-                )
-                decisions, spurious, synops = compiled.forward_rows(
-                    rows[start:end]
-                )
-                del rows
-                try:
-                    shm_out = _attach_shm(out_name)
-                except FileNotFoundError:
-                    results.put((job, epoch, shard, 0, 0, "shm",
-                                 f"output segment {out_name} vanished"))
-                    continue
-                try:
-                    # Re-validate immediately before the only externally
-                    # visible write: a zombie task of an aborted job must
-                    # never scribble into a successor's buffers.
-                    if bytes(shm_in.buf[:_HEADER]) != guard:
-                        results.put((job, epoch, shard, 0, 0, "stale",
-                                     "input epoch guard changed mid-task"))
-                        continue
-                    out = np.ndarray(
-                        (shape[0], compiled.out_features),
-                        dtype=np.float64,
-                        buffer=shm_out.buf,
-                    )
-                    out[start:end] = decisions
-                    del out
-                finally:
-                    shm_out.close()
-            finally:
-                shm_in.close()
-            results.put((job, epoch, shard, spurious, synops, "ok", None))
-        except Exception as exc:  # surface the traceback to the parent
-            import traceback
-
-            results.put((job, epoch, shard, 0, 0, "error",
-                         f"{exc}\n{traceback.format_exc()}"))
+        conn.send(_run_task(compiled, slot, task, chaos_hook))
 
 
-def _shutdown(procs, task_queues, segments) -> None:
+def _release(shm) -> None:
+    """Close and unlink one segment; a segment already unlinked (a
+    purged ``/dev/shm``) or still viewed is left to the OS."""
+    try:
+        shm.close()
+        shm.unlink()
+    except (OSError, BufferError):
+        pass
+
+
+def _shutdown(procs, conns, segments) -> None:
     """Finalizer-safe teardown: sentinel the workers, reap them, unlink
-    any surviving shared-memory segments.  ``procs`` / ``task_queues``
-    are mutated in place by respawns, so the finalizer always sees the
+    any surviving shared-memory segments.  ``procs`` / ``conns`` are
+    mutated in place by respawns, so the finalizer always sees the
     current generation."""
-    for tasks in list(task_queues):
+    for conn in list(conns):
         try:
-            tasks.put_nowait(None)
-        except Exception:
+            conn.send(None)
+        except OSError:  # worker already gone (or its pipe closed)
             pass
     deadline = time.monotonic() + 2.0
     for proc in list(procs):
@@ -232,22 +252,13 @@ def _shutdown(procs, task_queues, segments) -> None:
             if proc.is_alive():
                 proc.kill()  # SIGKILL: reaps frozen (SIGSTOPped) workers too
                 proc.join(timeout=1.0)
-        except Exception:
+        except (OSError, ValueError):
             pass
-    for tasks in list(task_queues):
-        try:
-            tasks.close()
-            tasks.cancel_join_thread()
-        except Exception:
-            pass
+    for conn in list(conns):
+        conn.close()
     for shm in list(segments):
-        if shm is None:
-            continue
-        try:
-            shm.close()
-            shm.unlink()
-        except Exception:
-            pass
+        if shm is not None:
+            _release(shm)
     segments.clear()
 
 
@@ -296,82 +307,101 @@ class InferencePool:
         self.workers = workers
         self.result_timeout_s = result_timeout_s
         self._ctx = mp.get_context(start_method)
-        self._results = self._ctx.Queue()
         self._lock = threading.Lock()
         self._jobs = itertools.count()
         self._segments: List = []  # [input shm, output shm] when allocated
         self._segment_gen = itertools.count()
         self._closed = False
         self._restarts = 0
-        self._stale_tasks = 0
         self._rr = 0  # round-robin dispatch cursor
         self._chaos_hook = chaos_hook
         self._payload = pickle.dumps(
             compiled, protocol=pickle.HIGHEST_PROTOCOL
         )
         self._procs: List = []
-        self._task_queues: List = []
+        self._conns: List = []  # parent end of each slot's pipe
+        # Per-slot in-flight ledger: tasks sent and not yet answered,
+        # keyed by ``(job, epoch, shard)``.
+        self._inflight: List[Dict[Tuple[int, int, int], tuple]] = []
         for slot in range(workers):
-            proc, tasks = self._spawn(slot)
+            proc, conn = self._spawn(slot)
             self._procs.append(proc)
-            self._task_queues.append(tasks)
+            self._conns.append(conn)
+            self._inflight.append({})
         # GC / interpreter-exit safety net; explicit close() is preferred.
         self._finalizer = weakref.finalize(
-            self, _shutdown, self._procs, self._task_queues, self._segments
+            self, _shutdown, self._procs, self._conns, self._segments
         )
 
     # -- workers -------------------------------------------------------------
 
     def _spawn(self, slot: int):
-        """Start one worker into ``slot`` with a fresh private queue."""
-        tasks = self._ctx.Queue()
+        """Start one worker into ``slot`` with a fresh duplex pipe."""
+        conn, child = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(slot, self._payload, tasks, self._results,
-                  self._chaos_hook),
+            args=(slot, self._payload, child, self._chaos_hook),
             daemon=True,
             name=f"sushi-infer-{slot}",
         )
         proc.start()
-        return proc, tasks
+        child.close()  # the worker holds the only copy of its end
+        return proc, conn
 
     def _respawn_locked(self, slot: int, force_kill: bool = False) -> List:
         """Replace the worker in ``slot`` (dead or presumed frozen) with
-        a fresh process + queue.  Returns the tasks drained out of the
-        old queue so the caller can account/re-dispatch them."""
+        a fresh process + pipe.  Returns the tasks the old worker never
+        answered (its ledger) so the caller can re-dispatch them."""
         old_proc = self._procs[slot]
         try:
             if force_kill and old_proc.is_alive():
                 old_proc.kill()  # SIGKILL beats SIGSTOP; terminate() doesn't
             old_proc.join(timeout=1.0)
-        except Exception:
+        except (OSError, ValueError):
             pass
-        old_queue = self._task_queues[slot]
-        drained = []
-        while True:
-            try:
-                task = old_queue.get_nowait()
-            except Exception:
-                break
-            if task is not None:
-                drained.append(task)
-        try:
-            old_queue.close()
-            old_queue.cancel_join_thread()
-        except Exception:
-            pass
-        proc, tasks = self._spawn(slot)
-        self._procs[slot] = proc
-        self._task_queues[slot] = tasks
+        self._conns[slot].close()
+        lost = list(self._inflight[slot].values())
+        self._inflight[slot].clear()
+        self._procs[slot], self._conns[slot] = self._spawn(slot)
         self._restarts += 1
-        return drained
+        return lost
+
+    def _receive_locked(self, timeout: float) -> List[tuple]:
+        """Results that land within ``timeout`` (empty = ``timeout`` of
+        silence), each struck from its slot's ledger.  A pipe at EOF
+        (its worker died) is closed and left to the liveness poll."""
+        from multiprocessing.connection import wait
+
+        deadline = time.monotonic() + timeout
+        results: List[tuple] = []
+        while not results:
+            ready = wait([c for c in self._conns if not c.closed],
+                         max(0.0, deadline - time.monotonic()))
+            if not ready:
+                break
+            for conn in ready:
+                slot = self._conns.index(conn)
+                try:
+                    result = conn.recv()
+                except (EOFError, OSError):
+                    conn.close()
+                    continue
+                self._inflight[slot].pop(result[:3], None)
+                results.append(result)
+        return results
+
+    @property
+    def _stale_tasks(self) -> int:
+        """Tasks sent but not yet answered; between calls these are
+        exactly the leftovers of an aborted call."""
+        return sum(map(len, self._inflight))
 
     def _supervise_locked(self) -> None:
-        """Between calls: resurrect any worker that died while idle."""
+        """Between calls: resurrect any worker that died while idle
+        (whatever it still held belonged to an aborted call)."""
         for slot, proc in enumerate(self._procs):
             if not proc.is_alive():
-                for _task in self._respawn_locked(slot):
-                    self._stale_tasks = max(0, self._stale_tasks - 1)
+                self._respawn_locked(slot)
 
     def ensure_workers(self) -> int:
         """Respawn any dead workers and return the alive count (the
@@ -396,8 +426,7 @@ class InferencePool:
         if current is not None and current.size >= nbytes:
             return current
         if current is not None:
-            current.close()
-            current.unlink()
+            _release(current)
         size = max(nbytes, 1)
         if current is not None:
             size = max(size, 2 * current.size)
@@ -416,46 +445,25 @@ class InferencePool:
         for index, shm in enumerate(self._segments):
             if shm is None:
                 continue
-            try:
-                if index == 0 and shm.size >= _HEADER:
-                    shm.buf[:_HEADER] = b"\x00" * _HEADER
-            except Exception:
-                pass
-            try:
-                shm.close()
-                shm.unlink()
-            except Exception:
-                pass
+            if index == 0:
+                shm.buf[:_HEADER] = b"\x00" * _HEADER
+            _release(shm)
             self._segments[index] = None
 
     def _drain_stale_locked(self) -> None:
         """Resolve tasks left over from an aborted call before the
         segments are reused (see module docstring)."""
-        if self._stale_tasks <= 0:
-            return
-        # 1. Pull never-started tasks straight back out of the queues.
-        for tasks in self._task_queues:
-            while self._stale_tasks > 0:
-                try:
-                    task = tasks.get_nowait()
-                except Exception:
-                    break
-                if task is not None:
-                    self._stale_tasks -= 1
-        # 2. Give in-flight zombies a short grace to report.
+        # 1. Give in-flight zombies a short grace to report.
         deadline = time.monotonic() + 0.25
         while self._stale_tasks > 0 and time.monotonic() < deadline:
-            try:
-                self._results.get(timeout=0.05)
-                self._stale_tasks -= 1
-            except queue_module.Empty:
-                continue
-        # 3. Anything still unaccounted for may be executing against the
+            self._receive_locked(timeout=0.05)
+        # 2. Anything still unanswered may be executing against the
         # current segments: retire them, so a zombie write can only land
         # in memory nothing will ever read again.
         if self._stale_tasks > 0:
             self._retire_segments_locked()
-            self._stale_tasks = 0
+            for inflight in self._inflight:
+                inflight.clear()
 
     @staticmethod
     def _shards(n_rows: int, parts: int) -> List[Tuple[int, int]]:
@@ -511,7 +519,6 @@ class InferencePool:
         epoch = 0
         shards = self._shards(n_rows, self.workers)
         state: Dict[str, object] = {"in": None, "out": None}
-        assignment: Dict[int, int] = {}  # shard -> worker slot
         completed: Dict[int, Tuple[int, int]] = {}  # exactly-once ledger
         kill_rounds = 0
         segment_rounds = 0
@@ -530,23 +537,25 @@ class InferencePool:
         def dispatch(indices: Sequence[int]) -> None:
             for shard in indices:
                 slot = self._next_slot()
-                assignment[shard] = slot
                 start, end = shards[shard]
-                self._task_queues[slot].put((
-                    job, epoch, shard, state["in"].name, tuple(rows.shape),
-                    state["out"].name, start, end,
-                ))
+                task = (job, epoch, shard, state["in"].name,
+                        tuple(rows.shape), state["out"].name, start, end)
+                self._inflight[slot][task[:3]] = task
+                try:
+                    self._conns[slot].send(task)
+                except OSError:
+                    # A dead worker's pipe refuses the task; it stays in
+                    # the ledger and the liveness poll re-dispatches it.
+                    pass
 
         def recover_workers(slots: Sequence[int], force_kill: bool) -> None:
             """Respawn the given slots, re-dispatching only the missing
             shards they held.  Second recovery round -> poison."""
             nonlocal kill_rounds
             kill_rounds += 1
-            suspects = set(slots)
-            for slot in sorted(suspects):
-                for task in self._respawn_locked(slot, force_kill=force_kill):
-                    if task[0] != job:
-                        self._stale_tasks = max(0, self._stale_tasks - 1)
+            lost = []
+            for slot in sorted(set(slots)):
+                lost += self._respawn_locked(slot, force_kill=force_kill)
             if kill_rounds >= _MAX_KILL_ROUNDS:
                 # The pool is whole again; the block is the suspect.
                 raise PoisonBatchError(
@@ -554,11 +563,10 @@ class InferencePool:
                     f"{kill_rounds} recovery rounds; quarantined -- run "
                     "this block serially"
                 )
-            missing = [
-                shard for shard in range(len(shards))
-                if shard not in completed and assignment[shard] in suspects
-            ]
-            dispatch(missing)
+            dispatch(sorted(
+                task[2] for task in lost
+                if task[:2] == (job, epoch) and task[2] not in completed
+            ))
 
         def republish(reason: str) -> None:
             """Segment vanished/corrupted: fresh names, bumped epoch,
@@ -572,7 +580,6 @@ class InferencePool:
                 )
             epoch += 1
             completed.clear()
-            assignment.clear()
             self._retire_segments_locked()
             publish()
             dispatch(range(len(shards)))
@@ -580,55 +587,39 @@ class InferencePool:
         publish()
         dispatch(range(len(shards)))
         progress_deadline = time.monotonic() + self.result_timeout_s
-        try:
-            while len(completed) < len(shards):
-                try:
-                    (rjob, repoch, shard, spurious, synops, status,
-                     message) = self._results.get(timeout=0.05)
-                except queue_module.Empty:
-                    dead = [slot for slot, proc in enumerate(self._procs)
-                            if not proc.is_alive()]
-                    if dead:
-                        recover_workers(dead, force_kill=False)
-                    elif time.monotonic() > progress_deadline:
-                        frozen = {
-                            assignment[shard]
-                            for shard in range(len(shards))
-                            if shard not in completed
-                        }
-                        recover_workers(sorted(frozen), force_kill=True)
-                    else:
-                        continue
-                    progress_deadline = (
-                        time.monotonic() + self.result_timeout_s
-                    )
+        while len(completed) < len(shards):
+            results = self._receive_locked(timeout=0.05)
+            if not results:
+                dead = [slot for slot, proc in enumerate(self._procs)
+                        if not proc.is_alive()]
+                if dead:
+                    recover_workers(dead, force_kill=False)
+                elif time.monotonic() > progress_deadline:
+                    # The workers still holding this epoch's shards.
+                    frozen = [
+                        slot for slot, inflight in enumerate(self._inflight)
+                        if any(key[:2] == (job, epoch) for key in inflight)
+                    ]
+                    recover_workers(frozen, force_kill=True)
+                else:
                     continue
-                if rjob != job:
-                    # Leftover of an aborted earlier call.
-                    self._stale_tasks = max(0, self._stale_tasks - 1)
+                progress_deadline = time.monotonic() + self.result_timeout_s
+                continue
+            for (rjob, repoch, shard, spurious, synops, status,
+                 message) in results:
+                if (rjob, repoch) != (job, epoch) or shard in completed:
+                    # Leftover of an aborted earlier call, superseded
+                    # epoch or duplicate delivery.
                     continue
-                if repoch != epoch or shard in completed:
-                    continue  # superseded epoch / duplicate delivery
                 if status == "ok":
                     completed[shard] = (spurious, synops)
-                    progress_deadline = (
-                        time.monotonic() + self.result_timeout_s
-                    )
                 elif status in ("shm", "stale"):
                     republish(str(message))
-                    progress_deadline = (
-                        time.monotonic() + self.result_timeout_s
-                    )
                 else:
                     raise InferencePoolError(
                         f"inference pool worker failed:\n{message}"
                     )
-        except BaseException:
-            # Whatever was dispatched in the current epoch and never
-            # resolved is now stale; the next call drains it before the
-            # segments are reused.
-            self._stale_tasks += len(shards) - len(completed)
-            raise
+                progress_deadline = time.monotonic() + self.result_timeout_s
         decisions = np.array(
             np.ndarray(out_shape, np.float64, buffer=state["out"].buf),
             copy=True,

@@ -656,14 +656,15 @@ class TestRobustness:
         ).start()
         entered = threading.Event()
         release = threading.Event()
-        original_put = server._queue.put
+        # Stall inside submit's accept-and-enqueue critical section.
+        original_record = server._metrics.record_submit
 
-        def stalled_put(item, timeout=None):
+        def stalled_record(n=1):
             entered.set()
             assert release.wait(timeout=10.0)
-            return original_put(item, timeout=timeout)
+            return original_record(n)
 
-        server._queue.put = stalled_put
+        server._metrics.record_submit = stalled_record
         try:
             holder: dict = {}
 
@@ -694,5 +695,127 @@ class TestRobustness:
             assert result.steps == trains.shape[0]
             assert server.stats().pending == 0
         finally:
-            server._queue.put = original_put
+            server._metrics.record_submit = original_record
+            server.stop()
+
+    def test_backpressure_rejects_and_drain_never_strands(self, workload):
+        """``queue_max`` bounds the queue: a timed submit beyond it
+        raises ``queue.Full`` and is not counted, every accepted request
+        still resolves, and a drain racing a submit blocked on the full
+        queue either rejects that submit or waits for its answer."""
+        network, trains = workload
+        want = expected_results(network, trains)
+        server = InferenceServer(
+            network, chip_n=CHIP_N, sc_per_npe=SC, plan_cache=None,
+            deadline_ms=0.0, queue_max=2,
+        ).start()
+        entered = threading.Event()
+        gate = threading.Event()
+        original = server._forward
+
+        def held_forward(rows):
+            entered.set()
+            assert gate.wait(timeout=10.0)
+            return original(rows)
+
+        server._forward = held_forward
+        try:
+            # The first request occupies the (held) backend; two more
+            # fill the queue to its bound.
+            accepted = [server.submit(trains[:, 0, :])]
+            assert entered.wait(timeout=10.0)
+            accepted += [server.submit(trains[:, b, :]) for b in (1, 2)]
+            with pytest.raises(queue.Full):
+                server.submit(trains[:, 3, :], timeout=0.05)
+
+            outcome: dict = {}
+
+            def blocked_submitter():
+                try:
+                    outcome["future"] = server.submit(trains[:, 3, :])
+                except ConfigurationError as exc:
+                    outcome["rejected"] = exc
+
+            submit_thread = threading.Thread(target=blocked_submitter)
+            submit_thread.start()
+            submit_thread.join(timeout=0.2)
+            assert submit_thread.is_alive(), \
+                "submit(timeout=None) returned on a full queue"
+
+            verdict: dict = {}
+            drain_thread = threading.Thread(
+                target=lambda: verdict.update(settled=server.drain(30.0)))
+            drain_thread.start()
+            drain_thread.join(timeout=0.2)
+            assert drain_thread.is_alive(), \
+                "drain settled while the backend still held requests"
+
+            gate.set()
+            drain_thread.join(timeout=30.0)
+            submit_thread.join(timeout=30.0)
+            assert verdict["settled"] is True
+            assert not submit_thread.is_alive()
+            if "future" in outcome:
+                accepted.append(outcome["future"])
+            for b, future in enumerate(accepted):
+                result = future.result(timeout=10.0)
+                assert np.array_equal(result.output_raster,
+                                      want.output_raster[:, b, :])
+            stats = server.stats()
+            assert stats.requests == len(accepted)
+            assert stats.completed == len(accepted)
+            assert stats.pending == 0
+        finally:
+            gate.set()
+            server._forward = original
+            server.stop()
+
+    def test_concurrent_submitters_under_backpressure(self, workload):
+        """Stress: more submitting threads than cores, a tiny queue bound,
+        two train shapes and a short switch interval.  Every submit waits
+        for room and is accepted, every request is answered exactly once
+        and bit-identically, and the counters balance."""
+        import sys
+
+        network, trains = workload
+        server = InferenceServer(
+            network, chip_n=CHIP_N, sc_per_npe=SC, plan_cache=None,
+            batch_max=4, queue_max=3,
+        ).start()
+        samples = ([trains[:, b, :] for b in range(trains.shape[1])]
+                   + [trains[:2, b, :] for b in range(4)])
+        want = [server.compiled.forward_rows(s)[0] for s in samples]
+        accepted: list = []
+        errors: list = []
+
+        def submitter(offset):
+            try:
+                for i in range(offset, offset + 40):
+                    index = i % len(samples)
+                    accepted.append(
+                        (index, server.submit(samples[index], timeout=30.0)))
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-5)
+            threads = [threading.Thread(target=submitter, args=(7 * k,))
+                       for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors, errors
+            assert len(accepted) == 6 * 40
+            for index, future in accepted:
+                result = future.result(timeout=30.0)
+                assert np.array_equal(result.output_raster, want[index])
+            stats = server.stats()
+            assert stats.requests == stats.completed == len(accepted)
+            assert stats.pending == 0
+        finally:
+            sys.setswitchinterval(interval)
             server.stop()

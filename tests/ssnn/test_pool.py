@@ -9,6 +9,7 @@ the wall-clock and the ``restarts`` counter.
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.harness import random_binarized_network, random_spike_trains
-from repro.harness.chaos import FreezeHook, KillHook
+from repro.harness.chaos import ChaosHook, FreezeHook, KillHook
 from repro.serve.backend import PoolBackend
 from repro.ssnn import (
     InferencePool,
@@ -92,6 +93,22 @@ class TestPoolEquivalence:
                 pool.infer_rows(
                     np.zeros((3, compiled.in_features + 2))
                 )
+
+
+class RaiseOnShardZeroHook(ChaosHook):
+    """Raise inside the worker running shard 0 (within the permit
+    budget), so that shard reports ``"error"``; shard 1 of the first
+    job is held briefly, so it is still in flight when the call
+    aborts."""
+
+    def __call__(self, slot, job, epoch, shard, in_name, out_name):
+        if shard == 0:
+            super().__call__(slot, job, epoch, shard, in_name, out_name)
+        elif job == 0:
+            time.sleep(0.1)
+
+    def fire(self, slot, job, epoch, shard, in_name, out_name):
+        raise RuntimeError("chaos: injected worker exception")
 
 
 class TestPoolLifecycle:
@@ -235,6 +252,36 @@ class TestPoolSupervision:
                     continue
             assert np.array_equal(got[0], want[0])
             assert got[1:] == want[1:]
+            assert pool.alive_workers() == 2
+
+    def test_aborted_call_leftovers_are_drained_before_reuse(
+        self, compiled, tmp_path
+    ):
+        """A shard that fails inside its worker aborts the call while
+        its sibling shard is still in flight; that leftover must be
+        resolved before the segments are reused, and the pool serves
+        the next blocks exactly, without respawning anything."""
+        # Same shape every call (the segments are reused), different
+        # rows: a leftover answer taken for a new call's shard would
+        # show as a wrong result.
+        aborted, *blocks = [rows_for(compiled, 16, seed=s)
+                            for s in (44, 45, 46)]
+        hook = RaiseOnShardZeroHook(str(tmp_path), budget=1)
+        with InferencePool(
+            compiled, workers=2, chaos_hook=hook, result_timeout_s=30.0
+        ) as pool:
+            with pytest.raises(InferencePoolError) as raised:
+                pool.infer_rows(aborted)
+            assert not isinstance(raised.value, PoisonBatchError)
+            assert "injected worker exception" in str(raised.value)
+            assert hook.fired() == 1
+            for rows in blocks:
+                want = compiled.forward_rows(rows)
+                got = pool.infer_rows(rows)
+                assert np.array_equal(got[0], want[0])
+                assert got[1:] == want[1:]
+            assert pool.restarts == 0
+            assert pool._stale_tasks == 0
             assert pool.alive_workers() == 2
 
     @settings(
