@@ -169,7 +169,7 @@ def run_chip_workload(
     on the Fig. 16 gate-level chip: per repeat, one threshold load, one
     weight configuration, and four polarity passes.  All engines process
     exactly the same pulses, so ``events`` is engine-independent (the
-    drift check in ``bench_report.py --check`` pins it) while
+    drift check ``bench.py --check simulator`` pins it) while
     ``wall_time_s`` measures the per-event constant factor.
     """
     chip = GateLevelChip(ChipConfig(n=n, sc_per_npe=sc_per_npe))
@@ -226,7 +226,7 @@ def run_trace_replay_workload(
     fast-path re-executions of the identical segments on a fresh
     :class:`~repro.rsfq.simulator.Simulator`.  The deterministic fields
     (events, violations, replay/fallback counts, bit-equality verdict)
-    are pinned by ``bench_report.py --check``; wall-clock numbers are
+    are pinned by ``bench.py --check simulator``; wall-clock numbers are
     informational.  The enforced ">= 5x" gate lives in
     ``test_trace_speedup.py``.
     """

@@ -10,7 +10,7 @@ and the pool never recovers.
 
 :class:`LegacyInferencePool` keeps the same bit-exact
 ``infer_rows`` == ``CompiledNetwork.forward_rows`` contract, which is
-what lets ``test_supervision_overhead.py`` and ``bench_chaos.py`` pin
+what lets ``test_supervision_overhead.py`` and ``bench.py --check chaos`` pin
 equivalence alongside the steady-state overhead numbers.
 """
 

@@ -15,7 +15,7 @@ rework so the committed serving benchmarks keep measuring against the
 
 Both return ``(decisions, spurious, synops)`` with the same bit-exact
 semantics as :meth:`repro.ssnn.compile.CompiledNetwork.forward_rows`,
-which is what lets ``bench_serve.py`` pin the equivalence alongside the
+which is what lets ``bench.py --check serve`` pin the equivalence alongside the
 throughput numbers.
 """
 

@@ -11,7 +11,7 @@ back:
   (the determinism contract across worker counts);
 * the committed ``BENCH_explore.json`` baseline still matches the
   deterministic pinned fields (the same gate CI runs via
-  ``bench_explore.py --check``).
+  ``bench.py --check explore``).
 """
 
 import json

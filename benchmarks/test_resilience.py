@@ -2,7 +2,7 @@
 and assert their qualitative shape (see ``docs/FAULTS.md``).
 
 The bit-exact numbers are pinned separately in ``BENCH_faults.json``
-(``bench_faults.py --check``); this test asserts the physics-level trends
+(``bench.py --check faults``); this test asserts the physics-level trends
 that must hold whatever the seeds: a clean baseline at p=0, monotone
 degradation, near-total loss under heavy pulse dropping, and a recorded
 self-healing recovery trail for the acceptance scenario.

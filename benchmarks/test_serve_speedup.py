@@ -13,7 +13,7 @@ back:
   synops totals;
 * the committed ``BENCH_serve.json`` baseline still matches the
   deterministic pinned fields (the same gate CI runs via
-  ``bench_serve.py --check``).
+  ``bench.py --check serve``).
 """
 
 import json
@@ -113,7 +113,11 @@ class TestServingEquivalence:
             assert (spur, syn) == serial[1:], name
 
     def test_committed_baseline_pinned_fields_match(self):
-        from bench_serve import REPORT_PATH, _pinned_view, measure
+        from bench import SUITES, baseline_path
+
+        suite = SUITES["serve"]
+        REPORT_PATH, _pinned_view, measure = (
+            baseline_path("serve"), suite.pinned_view, suite.measure)
 
         baseline = json.loads(Path(REPORT_PATH).read_text())
         assert _pinned_view(baseline) == _pinned_view(measure(trials=1))

@@ -9,7 +9,7 @@ Asserts the PR's headline claims on this interpreter, back to back:
   physics (same events, same outputs, same violation counts);
 * the recorded ``BENCH_simulator.json`` baseline still matches the
   deterministic events-processed counters (the same gate CI runs via
-  ``bench_report.py --check``).
+  ``bench.py --check simulator``).
 """
 
 import json
@@ -68,7 +68,11 @@ class TestEngineAgreement:
         assert parallel.violations == fast.violations
 
     def test_committed_baseline_counters_match(self):
-        from bench_report import REPORT_PATH, _pinned_view, measure
+        from bench import SUITES, baseline_path
+
+        suite = SUITES["simulator"]
+        REPORT_PATH, _pinned_view, measure = (
+            baseline_path("simulator"), suite.pinned_view, suite.measure)
 
         baseline = json.loads(Path(REPORT_PATH).read_text())
         assert _pinned_view(baseline) == _pinned_view(measure())

@@ -43,7 +43,9 @@ class TestTraceReplaySpeedup:
         assert best["speedup_warm_replay_over_fast"] >= SPEEDUP_FLOOR
 
     def test_committed_baseline_has_trace_counters(self):
-        from bench_report import PINNED_FIELDS, REPORT_PATH
+        from bench import PINNED_FIELDS, baseline_path
+
+        REPORT_PATH = baseline_path("simulator")
 
         baseline = json.loads(Path(REPORT_PATH).read_text())
         traced = baseline["workloads"]["trace_replay"]["traced"]

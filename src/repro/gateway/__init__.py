@@ -25,7 +25,7 @@ Layers (each its own module, composable and individually testable):
   retries), optional hedging.
 * :mod:`repro.gateway.loadgen` -- ``python -m repro loadtest``: the
   open/closed-loop campaign pinned by
-  ``benchmarks/bench_gateway.py`` (``--proxy`` routes it through the
+  ``benchmarks/bench.py --check gateway`` (``--proxy`` routes it through the
   :mod:`repro.netchaos` proxy for a degraded-network run).
 
 See ``docs/GATEWAY.md`` for the endpoint contract, the client

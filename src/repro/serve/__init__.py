@@ -18,7 +18,7 @@ at dispatch time, and :meth:`InferenceServer.health` /
 :meth:`InferenceServer.readiness` expose the supervision gauges.
 
 See ``docs/SERVING.md`` for the compile -> pool -> server architecture
-and ``benchmarks/bench_serve.py`` for the committed throughput gates.
+and ``benchmarks/bench.py --check serve`` for the committed drift gate.
 """
 
 from repro.serve.breaker import BreakerSnapshot, CircuitBreaker

@@ -1,9 +1,9 @@
 """Tests for the closed-loop load harness.
 
 The full quick campaign is exercised end-to-end by
-``benchmarks/bench_gateway.py`` and CI; here we run the cheap
-deterministic scenarios and pin the report contract the bench's
-``_pinned_view`` depends on.
+``benchmarks/bench.py --check gateway`` and CI; here we run the cheap
+deterministic scenarios and pin the report contract the gateway
+suite's pinned view depends on.
 """
 
 import json

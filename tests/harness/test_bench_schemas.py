@@ -1,7 +1,7 @@
 """Golden-schema tests for every committed ``benchmarks/BENCH_*.json``.
 
-The BENCH files are the drift baselines the ``--check`` scripts diff
-against; a hand edit that drops a key would silently weaken every
+The BENCH files are the drift baselines ``benchmarks/bench.py --check``
+diffs against; a hand edit that drops a key would silently weaken every
 future check.  This registry pins the shape of each file -- and the
 registry itself is pinned: a new BENCH file on disk without an entry
 here fails the suite.

@@ -6,7 +6,7 @@ predictions, exactly-once computes, exact retry/shed ledgers); these
 tests run the two cheapest ones through the public runner and pin the
 headline ledger numbers, plus the workload determinism the whole
 campaign rests on.  The full network campaign runs in CI via
-``bench_netchaos.py --check``.
+``bench.py --check netchaos``.
 """
 
 import numpy as np
