@@ -99,48 +99,34 @@ SCHEMA_VERSION = 1
 # -- simulator: event engines -----------------------------------------------
 
 #: Fields that must not drift between runs (deterministic engine outputs).
-PINNED_FIELDS = ("events", "violations", "partitions", "replays",
-                 "fallbacks", "replay_equal")
+PINNED_FIELDS = ("events", "violations", "replays", "fallbacks",
+                 "replay_equal")
 
 
 def measure_simulator() -> dict:
-    """Run the :mod:`legacy_engine` reference workloads on the legacy,
-    fast sequential and partitioned parallel engines, plus the warm
-    trace replay, and report events/sec, wall time and speedups."""
+    """Run the :mod:`legacy_engine` reference workloads on the legacy
+    and fast sequential engines, plus the warm trace replay, and report
+    events/sec, wall time and speedups."""
     chain_legacy = run_chain_workload("legacy")
     chain_fast = run_chain_workload("fast")
 
     chip_legacy = run_chip_workload(engine="legacy")
     chip_fast = run_chip_workload(engine="fast")
-    holder = {}
-
-    def parallel_factory(chip):
-        sim = chip.parallel_simulator(parts=4)
-        holder["sim"] = sim
-        return sim
-
-    chip_parallel = run_chip_workload(sim_factory=parallel_factory,
-                                      engine="parallel")
-    par_sim = holder["sim"]
 
     if chip_legacy.outputs != chip_fast.outputs:
         raise AssertionError("legacy and fast engines disagree on outputs")
-    if chip_fast.outputs != chip_parallel.outputs:
-        raise AssertionError("fast and parallel engines disagree on outputs")
 
-    def block(result, pinned_extra=None):
-        data = {
+    def block(result):
+        return {
             "events": result.events,
             "violations": result.violations,
             "wall_time_s": round(result.wall_time_s, 6),
             "events_per_sec": round(result.events_per_sec, 1),
         }
-        data.update(pinned_extra or {})
-        return data
 
     return {
         "version": SCHEMA_VERSION,
-        "note": ("events/violations/partitions are pinned by --check; "
+        "note": ("events/violations are pinned by --check; "
                  "wall-clock numbers are informational"),
         "workloads": {
             "chain_300x150": {
@@ -156,11 +142,6 @@ def measure_simulator() -> dict:
                                 "6 timesteps x 4 passes"),
                 "legacy": block(chip_legacy),
                 "fast": block(chip_fast),
-                "parallel": block(
-                    chip_parallel,
-                    {"partitions": par_sim.plan.n_partitions,
-                     "rounds": par_sim.rounds},
-                ),
                 "speedup_fast_over_legacy": round(
                     chip_fast.events_per_sec
                     / chip_legacy.events_per_sec, 3),
@@ -176,8 +157,8 @@ def measure_simulator() -> dict:
 
 
 def pinned_simulator(report: dict) -> dict:
-    """Per workload and engine: events processed, violation, partition
-    and trace-replay counts.  An optimisation that changes *what* the
+    """Per workload and engine: events processed, violation and
+    trace-replay counts.  An optimisation that changes *what* the
     engine simulates -- rather than how fast -- drifts here.  The
     ">= 2x sequential fast path" gate is ``test_simulator_speedup.py``."""
     view = {}

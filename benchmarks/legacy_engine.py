@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 from repro.neuro.chip import ChipConfig, ChipDriver, GateLevelChip
 from repro.neuro.state_controller import Polarity
@@ -157,7 +156,6 @@ class WorkloadResult:
 
 
 def run_chip_workload(
-    sim_factory: Optional[Callable[[GateLevelChip], Simulator]] = None,
     engine: str = "fast",
     n: int = 2,
     sc_per_npe: int = 4,
@@ -173,14 +171,10 @@ def run_chip_workload(
     ``wall_time_s`` measures the per-event constant factor.
     """
     chip = GateLevelChip(ChipConfig(n=n, sc_per_npe=sc_per_npe))
-    if sim_factory is not None:
-        sim = sim_factory(chip)
-    elif engine == "legacy":
+    if engine == "legacy":
         sim = LegacySimulator(chip.net)
     elif engine == "fast":
         sim = chip.simulator()
-    elif engine == "parallel":
-        sim = chip.parallel_simulator(parts=2 * n)
     else:
         raise ConfigurationError(f"unknown workload engine '{engine}'")
     return _drive_protocol(chip, sim, engine, n, repeats)

@@ -64,7 +64,6 @@ def two_npe_bringup_trace(
     jitter_ps: float = 0.0,
     seed: Optional[int] = None,
     engine: str = "sequential",
-    parts: int = 2,
     jitter_mode: Optional[str] = None,
 ) -> PulseTrace:
     """Pulse trace of a canonical 2-NPE bring-up script (Fig. 16 path).
@@ -78,30 +77,31 @@ def two_npe_bringup_trace(
     makes it the reference artefact for the golden-trace snapshot tests;
     with jitter it is deterministic per seed.
 
-    ``engine="parallel"`` runs the identical script on the partitioned
-    :class:`~repro.rsfq.parallel.ParallelSimulator` (cut along the chip's
-    mesh wires into ``parts`` partitions) -- the golden-equivalence tests
-    compare the two engines' traces on this very artefact.  For jittered
-    sequential runs, ``jitter_mode`` selects the stream discipline
-    (default ``"global"``, the legacy golden-jitter behaviour; use
-    ``"wire"`` to match the parallel engine draw-for-draw).
+    ``engine="traced"`` runs the script under a
+    :class:`~repro.rsfq.trace.ScheduleRecorder`, then replays the captured
+    schedule through :class:`~repro.rsfq.trace.TraceEngine` on a fresh
+    chip and returns the replay's trace -- the golden-equivalence tests
+    compare the two engines' traces on this very artefact.
+    ``jitter_mode`` selects the jitter stream discipline (default
+    ``"global"``, the legacy golden-jitter behaviour; ``"wire"`` is the
+    stream the trace engine replays draw-for-draw).
     """
     from repro.errors import ConfigurationError
+    from repro.rsfq.trace import ScheduleRecorder, TraceEngine
 
-    chip = GateLevelChip(ChipConfig(n=1, sc_per_npe=sc_per_npe))
-    trace = PulseTrace()
-    if engine == "parallel":
-        sim = chip.parallel_simulator(
-            parts=parts, jitter_ps=jitter_ps, seed=seed, trace=trace,
+    if engine not in ("sequential", "traced"):
+        raise ConfigurationError(
+            f"unknown engine '{engine}'; use 'sequential' or 'traced'"
         )
-    elif engine == "sequential":
-        kwargs = {} if jitter_mode is None else {"jitter_mode": jitter_mode}
+    chip = GateLevelChip(ChipConfig(n=1, sc_per_npe=sc_per_npe))
+    kwargs = {} if jitter_mode is None else {"jitter_mode": jitter_mode}
+    if engine == "traced":
+        sim = ScheduleRecorder(chip.net, jitter_ps=jitter_ps, seed=seed,
+                               **kwargs)
+    else:
+        trace = PulseTrace()
         sim = chip.simulator(
             jitter_ps=jitter_ps, seed=seed, trace=trace, **kwargs
-        )
-    else:
-        raise ConfigurationError(
-            f"unknown engine '{engine}'; use 'sequential' or 'parallel'"
         )
     driver = ChipDriver(chip, sim)
     driver.begin_timestep([2])
@@ -110,6 +110,12 @@ def two_npe_bringup_trace(
     driver.run_pass(Polarity.SET0, [True])   # membrane back to 0
     driver.run_pass(Polarity.SET1, [True])   # membrane 1
     driver.run_pass(Polarity.SET1, [True])   # membrane 2: fires
+    if engine == "traced":
+        fresh = GateLevelChip(ChipConfig(n=1, sc_per_npe=sc_per_npe))
+        return TraceEngine(fresh.net).run_episode(
+            sim.captured_segments(), jitter_ps=jitter_ps, seed=seed,
+            jitter_mode=sim.jitter_mode, want_trace=True,
+        ).trace
     return trace
 
 

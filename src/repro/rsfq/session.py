@@ -98,16 +98,9 @@ class SimulationSession:
             :class:`RunResult`.
         queue_backend: Event-queue backend name or factory (see
             :data:`repro.rsfq.events.QUEUE_BACKENDS`).
-        parallel_parts: When >= 2, runs execute on the partitioned
-            :class:`~repro.rsfq.parallel.ParallelSimulator` with that
-            many partitions (results are bit-identical to sequential
-            runs at ``jitter_ps=0`` and, with ``jitter_mode="wire"``,
-            under jitter too).
-        partition_hints: Optional cell -> group hints forwarded to the
-            partitioner (e.g. ``GateLevelChip.partition_hints()``).
-        jitter_mode: Jitter stream discipline for sequential runs
-            (``None`` keeps the engine default: ``"global"`` sequential,
-            ``"wire"`` parallel).
+        jitter_mode: Jitter stream discipline (``None`` keeps the
+            engine default, ``"global"``; ``"wire"`` is what the traced
+            engine replays).
         faults: Optional :class:`~repro.rsfq.faults.FaultModel` attached
             to every run's simulator (the model carries its own decision
             seed; reseed it per trial with
@@ -118,8 +111,8 @@ class SimulationSession:
             schedules from the record-once / replay-vectorized trace
             layer (:mod:`repro.rsfq.trace`) with transparent, counted
             fallback to the event engine whenever replay cannot
-            reproduce the run bit-for-bit (``until=`` horizons,
-            parallel sessions, fault triggers, ordering divergence).
+            reproduce the run bit-for-bit (``until=`` horizons, fault
+            triggers, ordering divergence).
         trace_cache: Optional on-disk cache for compiled traces when
             ``engine="traced"`` -- ``None`` (in-memory only),
             ``"default"`` (the shared plan-cache root), or a
@@ -136,8 +129,6 @@ class SimulationSession:
         seed: Optional[int] = None,
         record_traces: bool = False,
         queue_backend: Union[str, Callable] = "heap",
-        parallel_parts: int = 0,
-        partition_hints: Optional[dict] = None,
         jitter_mode: Optional[str] = None,
         faults=None,
         engine: Optional[str] = None,
@@ -159,8 +150,6 @@ class SimulationSession:
         self.seed = seed
         self.record_traces = record_traces
         self.queue_backend = queue_backend
-        self.parallel_parts = int(parallel_parts)
-        self.partition_hints = partition_hints
         self.jitter_mode = jitter_mode
         self.faults = faults
         self.stats = SessionStats()
@@ -171,24 +160,6 @@ class SimulationSession:
         self._runs = 0
 
     def _make_simulator(self, trace, run_seed):
-        if self.parallel_parts >= 2:
-            from repro.rsfq.parallel import ParallelSimulator
-
-            kwargs = {}
-            if self.jitter_mode is not None:
-                kwargs["jitter_mode"] = self.jitter_mode
-            return ParallelSimulator(
-                self.netlist,
-                parts=self.parallel_parts,
-                hints=self.partition_hints,
-                strict=self.strict,
-                trace=trace,
-                jitter_ps=self.jitter_ps,
-                seed=run_seed,
-                queue_backend=self.queue_backend,
-                faults=self.faults,
-                **kwargs,
-            )
         kwargs = {}
         if self.jitter_mode is not None:
             kwargs["jitter_mode"] = self.jitter_mode
@@ -232,7 +203,7 @@ class SimulationSession:
         run_seed,
     ) -> Optional[RunResult]:
         """Serve one run from the trace layer, or None for fallback."""
-        if until is not None or self.parallel_parts >= 2:
+        if until is not None:
             from repro.rsfq.trace import GLOBAL_TRACE_COUNTERS
 
             GLOBAL_TRACE_COUNTERS.bump("fallbacks")

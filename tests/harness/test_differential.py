@@ -212,40 +212,55 @@ class TestCompiledDifferential:
 
 
 class TestTracedGateDifferential:
-    """The traced replay engine folded into the gate-level differential
-    (issue 7 acceptance: bit-identical, fallback allowed, wrong answers
+    """The traced replay engine against the sequential event engine on the
+    gate-level differential (bit-identical, fallback allowed, wrong answers
     not)."""
 
     def test_ideal_workload_replays_bit_identical(self):
-        from repro.harness.differential import run_parallel_gate_differential
+        from repro.harness.differential import run_traced_gate_differential
 
-        verdict = run_parallel_gate_differential(
-            seed=0, engines=("sequential", "parallel", "traced")
-        )
+        verdict = run_traced_gate_differential(seed=0)
         assert verdict["equivalent"], verdict
         assert verdict["traced_equal"]
         assert verdict["traced_mode"] == "replay"
         assert verdict["traced_channels_equal"]
         assert verdict["traced_events_equal"]
+        assert verdict["injections"] == 0
 
     def test_wire_jitter_replays_bit_identical(self):
-        from repro.harness.differential import run_parallel_gate_differential
+        from repro.harness.differential import run_traced_gate_differential
 
-        verdict = run_parallel_gate_differential(
-            seed=1, jitter_ps=0.3,
-            engines=("sequential", "parallel", "traced"),
-        )
+        verdict = run_traced_gate_differential(seed=1, jitter_ps=0.3)
         assert verdict["equivalent"], verdict
         assert verdict["traced_mode"] == "replay"
 
     def test_faulted_workload_falls_back_bit_identical(self):
-        from repro.harness.differential import run_parallel_gate_differential
+        from repro.harness.differential import run_traced_gate_differential
         from repro.rsfq import FaultModel
 
         model = FaultModel.single("pulse_drop", probability=1.0, seed=9)
-        verdict = run_parallel_gate_differential(
-            seed=3, faults=model,
-            engines=("sequential", "parallel", "traced"),
+        verdict = run_traced_gate_differential(seed=3, faults=model)
+        assert verdict["equivalent"], verdict
+        assert verdict["traced_mode"] == "fallback"
+        assert verdict["injections"] > 0
+        assert verdict["traced_injection_log_equal"]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_faults_plus_jitter_fall_back(self, n):
+        """Mixed wire faults on top of per-wire jitter, across chip sizes."""
+        from repro.harness.differential import run_traced_gate_differential
+        from repro.rsfq import FaultModel, FaultSpec
+
+        mixed = FaultModel(
+            [
+                FaultSpec("pulse_drop", 0.02),
+                FaultSpec("extra_delay", 0.05, delay_ps=1.0),
+                FaultSpec("flux_trap", 0.02),
+            ],
+            seed="diff",
+        )
+        verdict = run_traced_gate_differential(
+            seed=5, n=n, jitter_ps=0.4, faults=mixed
         )
         assert verdict["equivalent"], verdict
         assert verdict["traced_mode"] == "fallback"
@@ -253,18 +268,8 @@ class TestTracedGateDifferential:
         assert verdict["traced_injection_log_equal"]
 
     def test_traced_without_parallel_leg(self):
-        from repro.harness.differential import run_parallel_gate_differential
+        from repro.harness.differential import run_traced_gate_differential
 
-        verdict = run_parallel_gate_differential(
-            seed=0, engines=("sequential", "traced")
-        )
+        verdict = run_traced_gate_differential(seed=0)
         assert verdict["equivalent"]
         assert "partitions" not in verdict
-
-    def test_sequential_baseline_is_mandatory(self):
-        from repro.harness.differential import run_parallel_gate_differential
-
-        with pytest.raises(ConfigurationError, match="baseline"):
-            run_parallel_gate_differential(engines=("traced",))
-        with pytest.raises(ConfigurationError, match="unknown engines"):
-            run_parallel_gate_differential(engines=("sequential", "warp"))

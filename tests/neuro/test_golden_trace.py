@@ -24,6 +24,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.neuro.bringup import two_npe_bringup_trace
+from repro.rsfq.trace import GLOBAL_TRACE_COUNTERS
 from repro.rsfq.waveform import PulseTrace
 
 GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "two_npe_pulse_trace.json"
@@ -90,24 +91,34 @@ class TestJitterDeterminism:
         assert two_npe_bringup_trace(jitter_ps=0.0, seed=123) == golden_trace
 
 
-class TestParallelEquivalence:
-    """The parallel engine must reproduce the golden trace bit-for-bit."""
+def _traced_bringup(**kwargs) -> PulseTrace:
+    """``two_npe_bringup_trace(engine="traced")``, asserting the trace
+    came from one vectorized replay, not an event-engine fallback."""
+    before = GLOBAL_TRACE_COUNTERS.snapshot()
+    trace = two_npe_bringup_trace(engine="traced", **kwargs)
+    after = GLOBAL_TRACE_COUNTERS.snapshot()
+    assert after["replays"] - before["replays"] == 1
+    assert after["fallbacks"] == before["fallbacks"]
+    return trace
 
-    def test_parallel_bringup_matches_golden_exactly(self, golden_trace):
-        trace = two_npe_bringup_trace(engine="parallel", parts=2)
+
+class TestTracedEquivalence:
+    """The trace engine must reproduce the golden trace bit-for-bit."""
+
+    def test_traced_bringup_matches_golden_exactly(self, golden_trace):
+        trace = _traced_bringup()
         assert trace.events() == golden_trace.events()
         assert trace == golden_trace
 
-    def test_parallel_matches_sequential_under_jitter(self):
+    def test_traced_matches_sequential_under_jitter(self):
         # Per-wire jitter streams are keyed by wire identity, so the
-        # sequential engine (in jitter_mode="wire") and the partitioned
-        # engine consume identical streams.
+        # event engine (in jitter_mode="wire") and the trace replay
+        # consume identical streams.
         seq = two_npe_bringup_trace(jitter_ps=1.0, seed=5,
                                     jitter_mode="wire")
-        par = two_npe_bringup_trace(jitter_ps=1.0, seed=5,
-                                    engine="parallel", parts=2)
-        assert par == seq
-        assert par.events() == seq.events()
+        traced = _traced_bringup(jitter_ps=1.0, seed=5, jitter_mode="wire")
+        assert traced == seq
+        assert traced.events() == seq.events()
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ConfigurationError):
